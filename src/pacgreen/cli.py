@@ -75,7 +75,8 @@ class RunManifest:
     outputs: list = field(default_factory=list)
 
     def add_output(self, path: str) -> None:
-        digest = hashlib.sha256(open(path, "rb").read()).hexdigest()
+        with open(path, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
         self.outputs.append({"path": os.path.basename(path), "sha256": digest})
 
     def write(self, anchor_path: str) -> None:
@@ -394,3 +395,7 @@ def dispatch(argv) -> int:
 
 def main() -> None:
     sys.exit(dispatch(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

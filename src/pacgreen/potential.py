@@ -1,4 +1,4 @@
-"""Potential kernel of the planar simple random walk.
+r"""Potential kernel of the planar simple random walk.
 
 The kernel is the lattice integral
 

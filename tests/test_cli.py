@@ -2,6 +2,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -121,6 +123,17 @@ class TestRateCommand:
         assert root.tag.endswith("svg")
         man = json.loads((tmp_path / "rates.csv.manifest.json").read_text())
         assert len(man["outputs"]) == 3
+
+    def test_module_entry_point(self, tmp_path):
+        out = tmp_path / "rates.csv"
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "pacgreen", "rate", "--alphas", "0",
+             "--ns", "8,12,16", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert out.exists()
 
 
 class TestExpdiffCommand:

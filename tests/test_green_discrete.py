@@ -7,6 +7,8 @@ from pacgreen import (ConvergenceError, DomainError, SolverConfig, WalkRunConfig
                       build_geometry, build_lattice_domain, dirichlet_solve,
                       discrete_arc_measure, green_mc, green_solve,
                       green_via_potential, lattice_domain_from_sites)
+from pacgreen.green_discrete import (DEFAULT_SOLVER, _box_preconditioner, _cg,
+                                     _system)
 
 PI = math.pi
 
@@ -140,6 +142,15 @@ class TestDirichlet:
         assert np.all(m.probabilities >= 0)
         assert m.total == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("alpha", [0.0, PI / 4, PI / 2, PI])
+    def test_one_solve_arc_measure_matches_per_arc_solves(self, alpha):
+        d = build_lattice_domain(build_geometry(alpha, 16))
+        ix = d.interior_index((0, 0))
+        per_arc = [dirichlet_solve(d, (d.boundary_arc == k).astype(float)).values[ix]
+                   for k in range(1, d.geometry.N + 1)]
+        m = discrete_arc_measure(d, (0, 0))
+        assert np.max(np.abs(m.probabilities - per_arc)) <= 1e-8
+
     def test_bad_boundary_data(self, pacman16):
         with pytest.raises(DomainError):
             dirichlet_solve(pacman16, np.zeros(3))
@@ -147,6 +158,21 @@ class TestDirichlet:
         h[0] = np.inf
         with pytest.raises(DomainError):
             dirichlet_solve(pacman16, h)
+
+
+class TestPreconditionedCG:
+    @pytest.mark.parametrize("alpha", [0.0, PI / 2, PI])
+    def test_iteration_guard(self, alpha):
+        # 24-36 iterations with the box preconditioner; hundreds without
+        d = build_lattice_domain(build_geometry(alpha, 64))
+        A, _ = _system(d)
+        b = np.zeros(d.interior_count)
+        b[d.interior_index((0, 0))] = 1.0
+        tol = DEFAULT_SOLVER.residual_tolerance
+        x, iterations = _cg(A, b, _box_preconditioner(d), tol,
+                            DEFAULT_SOLVER.max_iterations)
+        assert iterations <= 60
+        assert np.max(np.abs(b - A @ x)) <= tol
 
 
 class TestGreenViaPotential:
