@@ -11,8 +11,7 @@ from .errors import (ConvergenceError, DomainError, FitError, PlotError,
 from .potential import (EULER_GAMMA, K0, PotentialKernelConfig,
                         kernel_remainder, potential, potential_asymptotic,
                         potential_exact)
-from .green_continuous import (ConformalChain, bm_arc_measure,
-                               cauchy_interval_measure,
+from .green_continuous import (bm_arc_measure, cauchy_interval_measure,
                                green_halfdisk, green_halfplane, green_pacman,
                                halfdisk_to_halfplane, map_to_halfdisk)
 from .green_discrete import (ScalarField, SolverConfig, dirichlet_solve,
@@ -33,8 +32,7 @@ __all__ = [
     "EULER_GAMMA", "K0", "PotentialKernelConfig", "kernel_remainder",
     "potential",
     "potential_asymptotic", "potential_exact",
-    "ConformalChain", "bm_arc_measure", "cauchy_interval_measure",
-    "green_halfdisk",
+    "bm_arc_measure", "cauchy_interval_measure", "green_halfdisk",
     "green_halfplane", "green_pacman",
     "halfdisk_to_halfplane", "map_to_halfdisk",
     "ScalarField", "SolverConfig", "dirichlet_solve", "discrete_arc_measure",

@@ -228,7 +228,7 @@ def _cmd_arcs(args) -> int:
 def _cmd_rate(args) -> int:
     if len(args.ns) < 3:
         raise UsageError("--ns needs at least 3 scales for the fit")
-    cfg = ExperimentConfig(alphas=args.alphas, ns=args.ns, seed=args.seed)
+    cfg = ExperimentConfig(alphas=args.alphas, ns=args.ns)
     manifest = RunManifest("rate", {"alphas": list(args.alphas),
                                     "ns": list(args.ns)},
                            args.seed, __version__, _now())
@@ -294,7 +294,7 @@ def _scale(vals, lo_px, hi_px):
     def to_px(v):
         return lo_px + (v - vmin) / span * (hi_px - lo_px)
 
-    return to_px, vmin, vmax
+    return to_px
 
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
@@ -309,8 +309,8 @@ def render_rate_plot(series) -> str:
         raise PlotError("no data to plot")
     xs = [math.log(s) for _, _, pts in series for s, _ in pts]
     ys = [math.log(v) for _, _, pts in series for _, v in pts]
-    to_x, *_ = _scale(xs, _PAD, _W - _PAD)
-    to_y, ymin, ymax = _scale(ys, _H - _PAD, _PAD)
+    to_x = _scale(xs, _PAD, _W - _PAD)
+    to_y = _scale(ys, _H - _PAD, _PAD)
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}">',
              f'<rect width="{_W}" height="{_H}" fill="white"/>',
              f'<line x1="{_PAD}" y1="{_H - _PAD}" x2="{_W - _PAD}" y2="{_H - _PAD}" stroke="black"/>',
@@ -336,37 +336,6 @@ def render_rate_plot(series) -> str:
                      f'font-size="12" fill="{color}">{_fmt(float(alpha))}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def render_arc_plot(rows) -> str:
-    """Bar chart of arc probabilities; rows are (k, measure) pairs."""
-    if not rows:
-        raise PlotError("no data to plot")
-    N = len(rows)
-    top = max(m for _, m in rows) or 1.0
-    bw = (_W - 2 * _PAD) / N
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}">',
-             f'<rect width="{_W}" height="{_H}" fill="white"/>',
-             f'<line x1="{_PAD}" y1="{_H - _PAD}" x2="{_W - _PAD}" y2="{_H - _PAD}" stroke="black"/>']
-    for i, (k, m) in enumerate(rows):
-        h = (m / top) * (_H - 2 * _PAD)
-        x = _PAD + i * bw
-        parts.append(f'<rect x="{x:.2f}" y="{_H - _PAD - h:.2f}" '
-                     f'width="{bw * 0.9:.2f}" height="{h:.2f}" fill="#1f77b4" '
-                     f'class="bar" data-measure="{_fmt(float(m))}"/>')
-        parts.append(f'<text x="{x + bw * 0.45:.2f}" y="{_H - _PAD + 16}" '
-                     f'font-size="11" text-anchor="middle">{k}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
-
-
-def render_plot(rows, kind: str) -> str:
-    """Render parsed CSV rows of the given kind to an SVG document."""
-    if kind == "arc-histogram":
-        return render_arc_plot(rows)
-    if kind == "rate-loglog":
-        return render_rate_plot(rows)
-    raise PlotError(f"unknown plot kind {kind!r}")
 
 
 _COMMANDS = {"potential": _cmd_potential, "field": _cmd_field,

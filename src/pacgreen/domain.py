@@ -82,15 +82,6 @@ def build_geometry(alpha: float, n: int) -> PacmanGeometry:
                           c_alpha=c_alpha(alpha), N=N, radius=2.0 * n)
 
 
-def _snap(v: float) -> float:
-    # sin/cos of the exact angles 0, pi/2, pi must classify lattice points
-    # on the wedge edges exactly.
-    for t in (0.0, 1.0, -1.0):
-        if abs(v - t) < 1e-12:
-            return t
-    return v
-
-
 def sector_mask(g: PacmanGeometry, wx, wy):
     """Vectorized membership test in w-frame coordinates (tip at 0).
 
@@ -100,7 +91,7 @@ def sector_mask(g: PacmanGeometry, wx, wy):
     """
     wx = np.asarray(wx)
     wy = np.asarray(wy)
-    s, c = _snap(math.sin(g.alpha)), _snap(math.cos(g.alpha))
+    s, c = math.sin(g.alpha), math.cos(g.alpha)
     r2 = wx * wx + wy * wy
     inside_disk = (r2 > 0) & (r2 < (2 * g.n) ** 2)
     # the theta = 0 edge
@@ -108,15 +99,21 @@ def sector_mask(g: PacmanGeometry, wx, wy):
     # the theta = 2 pi - alpha edge and the wedge below it: rotate by alpha
     # and look for arguments landing in [0, alpha)
     ry = wx * s + wy * c
-    rx = wx * c - wy * s
-    wedge = (wy <= 0) & ((ry > 0) | ((ry == 0) & (rx > 0)))
+    # rounding in sin/cos leaves lattice points on a lattice-direction edge
+    # a few ulps off it; lattice points off an edge sit far above this
+    on_edge = np.abs(ry) <= 1e-12 * (np.abs(wx) + np.abs(wy))
+    wedge = (wy <= 0) & np.where(on_edge, wx * c - wy * s > 0, ry > 0)
     return inside_disk & ~on_positive_axis & ~wedge
+
+
+def _as_complex(z) -> complex:
+    """A point given as an (x, y) tuple or list, or as a complex number."""
+    return complex(z[0], z[1]) if isinstance(z, (tuple, list)) else complex(z)
 
 
 def contains(g: PacmanGeometry, z) -> bool:
     """True iff the z-frame point z lies strictly inside the domain."""
-    z = complex(z[0], z[1]) if isinstance(z, (tuple, list)) else complex(z)
-    w = z + g.z0_complex
+    w = _as_complex(z) + g.z0_complex
     return bool(sector_mask(g, np.float64(w.real), np.float64(w.imag)))
 
 
@@ -126,8 +123,7 @@ def arc_index(g: PacmanGeometry, z) -> int:
     Buckets have width log^2 n; everything at tip-distance
     >= (N - 1) log^2 n, including the circular part, maps to N.
     """
-    z = complex(z[0], z[1]) if isinstance(z, (tuple, list)) else complex(z)
-    r = abs(z + g.z0_complex)
+    r = abs(_as_complex(z) + g.z0_complex)
     return min(g.N, int(r / g.bucket_width) + 1)
 
 
@@ -139,8 +135,7 @@ def arc_index_of_radius(g: PacmanGeometry, r):
 
 def nearest_boundary(g: PacmanGeometry, z) -> tuple[float, int]:
     """Distance from z to the continuous boundary and the nearest arc index."""
-    z = complex(z[0], z[1]) if isinstance(z, (tuple, list)) else complex(z)
-    w = z + g.z0_complex
+    w = _as_complex(z) + g.z0_complex
     R = g.radius
     candidates = []
     # ray at theta = 0
@@ -200,45 +195,13 @@ class LatticeDomain:
         return self._grid_lookup(self._boundary_grid, z)
 
 
-def lattice_domain_from_sites(g: PacmanGeometry, interior_sites) -> LatticeDomain:
-    """Lattice domain with an explicit interior site set (z-frame points).
+def _from_mask(g: PacmanGeometry, interior: np.ndarray, off: int) -> LatticeDomain:
+    """Lattice domain from a w-frame interior mask indexed [wx + off, wy + off].
 
-    Boundary and arc classification follow the same rules as the full
-    discretization.  Intended for small hand-checkable domains; the
-    geometry supplies the coordinate frame and arc metadata.
+    The mask must leave a one-cell margin so every boundary site lands on
+    the grid.  Boundary sites are the non-interior 4-neighbours of interior
+    sites.
     """
-    sites = sorted((int(p[0]), int(p[1])) for p in interior_sites)
-    if not sites:
-        raise DomainError("need at least one interior site")
-    coords = np.array(sorted(sites, key=lambda p: (p[1], p[0])), dtype=np.int64)
-    w = coords + np.array(g.z0, dtype=np.int64)
-    off = int(np.abs(w).max()) + 2
-    W = 2 * off + 1
-    int_grid = np.full((W, W), -1, dtype=np.int64)
-    int_grid[w[:, 0] + off, w[:, 1] + off] = np.arange(coords.shape[0])
-    bnd = set()
-    for x, y in coords:
-        for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            q = (x + dx, y + dy)
-            if int_grid[q[0] + g.z0[0] + off, q[1] + g.z0[1] + off] < 0:
-                bnd.add(q)
-    bnd_coords = np.array(sorted(bnd, key=lambda p: (p[1], p[0])), dtype=np.int64)
-    wb = bnd_coords + np.array(g.z0, dtype=np.int64)
-    bnd_grid = np.full((W, W), -1, dtype=np.int64)
-    bnd_grid[wb[:, 0] + off, wb[:, 1] + off] = np.arange(bnd_coords.shape[0])
-    arcs = arc_index_of_radius(g, np.hypot(wb[:, 0], wb[:, 1]))
-    return LatticeDomain(geometry=g, interior=coords, boundary=bnd_coords,
-                         boundary_arc=arcs, _interior_grid=int_grid,
-                         _boundary_grid=bnd_grid, _offset=off)
-
-
-def build_lattice_domain(g: PacmanGeometry) -> LatticeDomain:
-    """Enumerate interior and boundary lattice sites of the domain."""
-    R = 2 * g.n
-    off = R + 1
-    ax = np.arange(-off, off + 1, dtype=np.int64)
-    WX, WY = np.meshgrid(ax, ax, indexing="ij")
-    interior = sector_mask(g, WX, WY)
     near = np.zeros_like(interior)
     near[1:, :] |= interior[:-1, :]
     near[:-1, :] |= interior[1:, :]
@@ -246,23 +209,41 @@ def build_lattice_domain(g: PacmanGeometry) -> LatticeDomain:
     near[:, :-1] |= interior[:, 1:]
     boundary = near & ~interior
 
-    def coords_of(mask):
+    def sites(mask):
         # argwhere on the transposed mask yields (y, x) lexicographic order
-        yx = np.argwhere(mask.T)
-        wx = yx[:, 1] - off
-        wy = yx[:, 0] - off
-        return np.stack([wx - g.z0[0], wy - g.z0[1]], axis=1), wx, wy
+        wy, wx = (np.argwhere(mask.T) - off).T
+        grid = np.full(mask.shape, -1, dtype=np.int64)
+        grid[wx + off, wy + off] = np.arange(wx.size)
+        return np.stack([wx - g.z0[0], wy - g.z0[1]], axis=1), grid, wx, wy
 
-    int_coords, iwx, iwy = coords_of(interior)
-    bnd_coords, bwx, bwy = coords_of(boundary)
-
-    W = 2 * off + 1
-    int_grid = np.full((W, W), -1, dtype=np.int64)
-    int_grid[iwx + off, iwy + off] = np.arange(int_coords.shape[0])
-    bnd_grid = np.full((W, W), -1, dtype=np.int64)
-    bnd_grid[bwx + off, bwy + off] = np.arange(bnd_coords.shape[0])
-
+    int_coords, int_grid, _, _ = sites(interior)
+    bnd_coords, bnd_grid, bwx, bwy = sites(boundary)
     arcs = arc_index_of_radius(g, np.hypot(bwx, bwy))
     return LatticeDomain(geometry=g, interior=int_coords, boundary=bnd_coords,
                          boundary_arc=arcs, _interior_grid=int_grid,
                          _boundary_grid=bnd_grid, _offset=off)
+
+
+def lattice_domain_from_sites(g: PacmanGeometry, interior_sites) -> LatticeDomain:
+    """Lattice domain with an explicit interior site set (z-frame points).
+
+    Boundary and arc classification follow the same rules as the full
+    discretization.  Intended for small hand-checkable domains; the
+    geometry supplies the coordinate frame and arc metadata.
+    """
+    w = np.array([(int(p[0]), int(p[1])) for p in interior_sites],
+                 dtype=np.int64).reshape(-1, 2)
+    if not w.size:
+        raise DomainError("need at least one interior site")
+    w += np.array(g.z0, dtype=np.int64)
+    off = int(np.abs(w).max()) + 2
+    mask = np.zeros((2 * off + 1, 2 * off + 1), dtype=bool)
+    mask[w[:, 0] + off, w[:, 1] + off] = True
+    return _from_mask(g, mask, off)
+
+
+def build_lattice_domain(g: PacmanGeometry) -> LatticeDomain:
+    """Enumerate interior and boundary lattice sites of the domain."""
+    off = 2 * g.n + 1
+    ax = np.arange(-off, off + 1, dtype=np.int64)
+    return _from_mask(g, sector_mask(g, ax[:, None], ax[None, :]), off)

@@ -21,18 +21,17 @@ The corrected fit measures the rate exponent, to be compared with c_alpha.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import (PacmanGeometry, build_geometry, build_lattice_domain,
-                     contains, nearest_boundary)
+from .domain import (PacmanGeometry, _as_complex, build_geometry,
+                     build_lattice_domain, contains, nearest_boundary)
 from .errors import DomainError, FitError
 from .green_continuous import bm_arc_measure, green_pacman_many
 from .green_discrete import DEFAULT_SOLVER, ScalarField, SolverConfig, green_solve
 from .potential import kernel_remainder
-from .walk_mc import WalkRunConfig, sample_exits, trial_rng, workers_from_env
+from .walk_mc import WalkRunConfig, sample_exits, trial_rng
 
 _BM_STREAM = 1 << 48   # keeps the exit-radius sampler off the walk streams
 
@@ -89,9 +88,7 @@ class ExperimentConfig:
     alphas: tuple
     ns: tuple
     solver: SolverConfig = DEFAULT_SOLVER
-    walk: WalkRunConfig | None = None
     region_rule: str = "restricted"
-    seed: int = 0
 
     def __post_init__(self):
         if not self.alphas:
@@ -154,31 +151,18 @@ def _rate_point(alpha: float, n: int, solver: SolverConfig,
                      corrected_sup_error=float(corrected.max()))
 
 
-def rate_sweep(cfg: ExperimentConfig, workers: int | None = None) -> list[RateFitResult]:
+def rate_sweep(cfg: ExperimentConfig) -> list[RateFitResult]:
     """Sup-error decay and fitted rate exponents per alpha.
 
     ``slope`` fits the raw sup error against log^2 n / n;
     ``corrected_slope`` fits the corrected sup error (kernel remainder
     taken out) against 1/n and is the one to compare with c_alpha.
     """
-    if workers is None:
-        workers = workers_from_env()
-    tasks = [(a, n) for a in cfg.alphas for n in cfg.ns]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(
-                lambda t: _rate_point(t[0], t[1], cfg.solver, cfg.region_rule),
-                tasks))
-    else:
-        done = [_rate_point(a, n, cfg.solver, cfg.region_rule) for a, n in tasks]
-    by_alpha = {a: [] for a in cfg.alphas}
-    for (a, _), pt in zip(tasks, done):
-        by_alpha[a].append(pt)
+    if len(cfg.ns) < 3:
+        raise FitError("need at least 3 scales per alpha")
     results = []
     for a in cfg.alphas:
-        pts = sorted(by_alpha[a], key=lambda p: p.n)
-        if len(pts) < 3:
-            raise FitError("need at least 3 scales per alpha")
+        pts = [_rate_point(a, n, cfg.solver, cfg.region_rule) for n in cfg.ns]
         slope, intercept, r2 = fit_loglog(
             [(math.log(p.n) ** 2 / p.n, p.sup_error) for p in pts])
         corrected_slope, _, _ = fit_loglog(
@@ -209,7 +193,7 @@ def expdiff_estimate(g: PacmanGeometry, x, y,
 
     Returns (estimate, standard error).
     """
-    yc = complex(y[0], y[1]) if isinstance(y, (tuple, list)) else complex(y)
+    yc = _as_complex(y)
     xc = complex(x[0], x[1])
     limit = 10.0 * math.log(g.n)
     dist, _ = nearest_boundary(g, xc)

@@ -16,19 +16,17 @@ law then give everything in closed form:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import TIP_GUARD, PacmanGeometry, contains
+from .domain import TIP_GUARD, PacmanGeometry, _as_complex, contains
 from .errors import DomainError, SingularityError
 from .walk_mc import ArcMeasure
 
 
 def map_to_halfdisk(g: PacmanGeometry, z) -> complex:
     """Power map ((z + z0)/2n)^{c_alpha}, argument taken in [0, 2 pi)."""
-    z = complex(z[0], z[1]) if isinstance(z, (tuple, list)) else complex(z)
-    w = z + g.z0_complex
+    w = _as_complex(z) + g.z0_complex
     r = abs(w)
     if r <= TIP_GUARD:
         raise DomainError("point coincides with the re-entrant tip")
@@ -79,31 +77,9 @@ def _to_halfplane(g: PacmanGeometry, z) -> complex:
     return halfdisk_to_halfplane(map_to_halfdisk(g, z))
 
 
-@dataclass(frozen=True)
-class ConformalChain:
-    """The two-stage map for one geometry, with the branch pinned to
-    arguments in [0, 2 pi) so it is continuous across the whole wedge."""
-
-    geometry: PacmanGeometry
-    argument_range: tuple = field(default=(0.0, 2.0 * math.pi))
-
-    def to_halfdisk(self, z) -> complex:
-        return map_to_halfdisk(self.geometry, z)
-
-    def to_halfplane(self, z) -> complex:
-        return _to_halfplane(self.geometry, z)
-
-    def green(self, z, w) -> float:
-        return green_pacman(self.geometry, z, w)
-
-    def arc_measure(self, x) -> ArcMeasure:
-        return bm_arc_measure(self.geometry, x)
-
-
 def green_pacman(g: PacmanGeometry, z, w) -> float:
     """Continuous Green's function of the pacman domain, via the map chain."""
-    zc = complex(z[0], z[1]) if isinstance(z, (tuple, list)) else complex(z)
-    wc = complex(w[0], w[1]) if isinstance(w, (tuple, list)) else complex(w)
+    zc, wc = _as_complex(z), _as_complex(w)
     if not contains(g, zc) or not contains(g, wc):
         raise DomainError("both points must be strictly interior")
     if zc == wc:
@@ -117,8 +93,7 @@ def green_pacman_many(g: PacmanGeometry, z, w_arr: np.ndarray) -> np.ndarray:
     Used for whole-field comparisons; callers must exclude w = z and the
     tip themselves.
     """
-    zc = complex(z[0], z[1]) if isinstance(z, (tuple, list)) else complex(z)
-    p = _to_halfplane(g, zc)
+    p = _to_halfplane(g, _as_complex(z))
     u = _map_many(g, np.asarray(w_arr) + g.z0_complex)
     q = -(u + 1.0 / u)
     return np.log(np.abs(p - np.conj(q))) - np.log(np.abs(p - q))
@@ -157,7 +132,7 @@ def bm_arc_measure(g: PacmanGeometry, x) -> ArcMeasure:
     per-arc masses are Cauchy CDF differences at shared interval endpoints,
     so they telescope and sum to 1 up to rounding.
     """
-    xc = complex(x[0], x[1]) if isinstance(x, (tuple, list)) else complex(x)
+    xc = _as_complex(x)
     if not contains(g, xc):
         raise DomainError("x must be strictly interior")
     p = _to_halfplane(g, xc)

@@ -10,8 +10,6 @@ exit site.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,14 +22,6 @@ _STEP_DX = np.array([1, -1, 0, 0], dtype=np.int64)
 _STEP_DY = np.array([0, 0, 1, -1], dtype=np.int64)
 _CHUNK0 = 1024
 _CHUNK_MAX = 32768
-
-
-def workers_from_env() -> int:
-    """Worker-count override from the environment (PACGREEN_WORKERS)."""
-    try:
-        return max(1, int(os.environ.get("PACGREEN_WORKERS", "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -142,43 +132,27 @@ def _check_start(d: LatticeDomain, x):
         raise DomainError(f"{x} is not an interior site")
 
 
-def _run_trials(d: LatticeDomain, start, count_site, cfg: WalkRunConfig,
-                workers: int | None = None):
+def _run_trials(d: LatticeDomain, start, count_site, cfg: WalkRunConfig):
     """(exits, visits, steps) arrays indexed by trial.
 
-    Trials write disjoint slots, so the result is identical for any worker
-    count or scheduling; the per-trial Philox streams carry the randomness.
+    Trial i draws only from its own Philox stream (cfg.seed, i), so any
+    prefix of trials reproduces exactly under a larger trial count.
     """
     budget = cfg.resolve_budget(d.geometry.n)
     exits = np.empty((cfg.trials, 2), dtype=np.int64)
     visits = np.empty(cfg.trials, dtype=np.int64)
     steps = np.empty(cfg.trials, dtype=np.int64)
-
-    def run_range(lo, hi):
-        for i in range(lo, hi):
-            e, v, t = _simulate(d, start, count_site,
-                                trial_rng(cfg.seed, i), budget)
-            exits[i] = e
-            visits[i] = v
-            steps[i] = t
-
-    workers = workers_from_env() if workers is None else max(1, workers)
-    if workers == 1 or cfg.trials < 2 * workers:
-        run_range(0, cfg.trials)
-    else:
-        bounds = np.linspace(0, cfg.trials, workers + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda k: run_range(bounds[k], bounds[k + 1]),
-                          range(workers)))
+    for i in range(cfg.trials):
+        exits[i], visits[i], steps[i] = _simulate(
+            d, start, count_site, trial_rng(cfg.seed, i), budget)
     return exits, visits, steps
 
 
-def walk_arc_measure(d: LatticeDomain, x, cfg: WalkRunConfig,
-                     workers: int | None = None) -> ArcMeasure:
+def walk_arc_measure(d: LatticeDomain, x, cfg: WalkRunConfig) -> ArcMeasure:
     """Empirical exit distribution over boundary arcs, from x."""
     _check_start(d, x)
     g = d.geometry
-    exits, _, _ = _run_trials(d, x, x, cfg, workers)
+    exits, _, _ = _run_trials(d, x, x, cfg)
     radii = np.hypot(exits[:, 0] + g.z0[0], exits[:, 1] + g.z0[1])
     arcs = arc_index_of_radius(g, radii)
     counts = np.bincount(arcs - 1, minlength=g.N)
@@ -188,8 +162,7 @@ def walk_arc_measure(d: LatticeDomain, x, cfg: WalkRunConfig,
                       stderr=se)
 
 
-def green_mc(d: LatticeDomain, w, cfg: WalkRunConfig, start=None,
-             workers: int | None = None):
+def green_mc(d: LatticeDomain, w, cfg: WalkRunConfig, start=None):
     """Visit-count estimate of the discrete Green's function G(start, w).
 
     Returns (mean visit count, standard error).  Default start is w.
@@ -199,25 +172,23 @@ def green_mc(d: LatticeDomain, w, cfg: WalkRunConfig, start=None,
     _check_start(d, start)
     if d.interior_index(w) < 0:
         raise DomainError(f"{w} is not an interior site")
-    _, visits, _ = _run_trials(d, start, w, cfg, workers)
+    _, visits, _ = _run_trials(d, start, w, cfg)
     visits = visits.astype(np.float64)
     se = visits.std(ddof=1) / math.sqrt(cfg.trials) if cfg.trials > 1 else 0.0
     return float(visits.mean()), float(se)
 
 
-def mean_exit_steps(d: LatticeDomain, x, cfg: WalkRunConfig,
-                    workers: int | None = None):
+def mean_exit_steps(d: LatticeDomain, x, cfg: WalkRunConfig):
     """Mean and standard error of the exit time from x."""
     _check_start(d, x)
-    _, _, steps = _run_trials(d, x, x, cfg, workers)
+    _, _, steps = _run_trials(d, x, x, cfg)
     steps = steps.astype(np.float64)
     se = steps.std(ddof=1) / math.sqrt(cfg.trials) if cfg.trials > 1 else 0.0
     return float(steps.mean()), float(se)
 
 
-def sample_exits(d: LatticeDomain, x, cfg: WalkRunConfig,
-                 workers: int | None = None) -> np.ndarray:
+def sample_exits(d: LatticeDomain, x, cfg: WalkRunConfig) -> np.ndarray:
     """Exit sites for every trial, as an (trials, 2) array of z-frame points."""
     _check_start(d, x)
-    exits, _, _ = _run_trials(d, x, x, cfg, workers)
+    exits, _, _ = _run_trials(d, x, x, cfg)
     return exits

@@ -9,7 +9,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from pacgreen import build_geometry, build_lattice_domain, green_solve
-from pacgreen.cli import atomic_write_text, dispatch, render_plot
+from pacgreen.cli import atomic_write_text, dispatch, render_rate_plot
 from pacgreen.errors import PlotError
 
 
@@ -177,19 +177,10 @@ class TestAtomicWrites:
 
 
 class TestRenderPlot:
-    def test_arc_histogram(self):
-        rows = [(k, p) for k, p in zip(range(1, 6), (0.2, 0.3, 0.1, 0.15, 0.25))]
-        svg = render_plot(rows, "arc-histogram")
-        root = ET.fromstring(svg)
-        bars = [e for e in root.iter() if e.get("class") == "bar"]
-        assert len(bars) == 5
-        total = sum(float(b.get("data-measure")) for b in bars)
-        assert total == pytest.approx(1.0, abs=1e-9)
-
     def test_rate_loglog_structure(self):
         series = [(0.0, 0.5, [(0.3, 0.1), (0.2, 0.07), (0.1, 0.04)]),
                   (math.pi, 1.0, [(0.3, 0.2), (0.2, 0.1), (0.1, 0.05)])]
-        svg = render_plot(series, "rate-loglog")
+        svg = render_rate_plot(series)
         root = ET.fromstring(svg)
         dots = [e for e in root.iter() if e.get("class") == "datum"]
         refs = [e for e in root.iter() if e.get("class") == "reference"]
@@ -200,12 +191,10 @@ class TestRenderPlot:
 
     def test_empty_data(self):
         with pytest.raises(PlotError):
-            render_plot([], "arc-histogram")
+            render_rate_plot([])
         with pytest.raises(PlotError):
-            render_plot([], "rate-loglog")
-        with pytest.raises(PlotError):
-            render_plot([(1, 2)], "bogus-kind")
+            render_rate_plot([(0.0, 0.5, [])])
 
     def test_self_contained(self):
-        svg = render_plot([(1, 0.5), (2, 0.5)], "arc-histogram")
+        svg = render_rate_plot([(0.0, 0.5, [(0.3, 0.1), (0.2, 0.07)])])
         assert "http" not in svg.replace("http://www.w3.org/2000/svg", "")

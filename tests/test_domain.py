@@ -3,12 +3,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from pacgreen import (DomainError, arc_index, build_geometry,
+from pacgreen import (DomainError, arc_index, bm_arc_measure, build_geometry,
                       build_lattice_domain, c_alpha, contains,
                       lattice_domain_from_sites, nearest_boundary)
+from pacgreen.domain import sector_mask
 
 PI = math.pi
+
+# Wedge angles whose theta = 2 pi - alpha edge runs through lattice points,
+# with the primitive lattice step along that edge (w-frame).
+LATTICE_EDGES = [(PI / 4, (1, -1)), (3 * PI / 4, (-1, -1)),
+                 (PI - math.atan(0.5), (-2, -1))]
+ALPHAS = st.one_of(st.floats(0.0, PI),
+                   st.sampled_from([0.0, PI / 2, PI] + [a for a, _ in LATTICE_EDGES]))
 
 
 def brute_force_interior(g):
@@ -154,6 +164,69 @@ class TestLatticeDomain:
                                              (0, 1), (0, -1)])
         assert plus.interior_count == 5
         assert plus.boundary_count == 8
+
+    def test_from_sites_empty(self):
+        with pytest.raises(DomainError):
+            lattice_domain_from_sites(build_geometry(PI, 8), [])
+
+    @pytest.mark.parametrize("alpha", [0.0, PI / 4, PI / 2, PI])
+    def test_from_sites_of_full_interior_equals_build(self, alpha):
+        g = build_geometry(alpha, 16)
+        d = build_lattice_domain(g)
+        e = lattice_domain_from_sites(g, d.interior)
+        for name in ("interior", "boundary", "boundary_arc",
+                     "_interior_grid", "_boundary_grid"):
+            a, b = getattr(d, name), getattr(e, name)
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b), name
+        assert e._offset == d._offset
+
+
+class TestEdgeProperties:
+    @pytest.mark.parametrize("alpha, step", LATTICE_EDGES)
+    @settings(max_examples=50, deadline=None)
+    @given(n=st.integers(8, 256), k=st.integers(1, 600))
+    def test_lattice_points_on_edge_excluded(self, alpha, step, n, k):
+        g = build_geometry(alpha, n)
+        wx, wy = k * step[0], k * step[1]
+        assert not sector_mask(g, wx, wy)
+        assert not contains(g, (wx - g.z0[0], wy - g.z0[1]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(alpha=ALPHAS, n=st.integers(8, 40),
+           points=st.lists(st.tuples(st.integers(-82, 82), st.integers(-82, 82)),
+                           min_size=1, max_size=30))
+    def test_contains_agrees_with_lattice_domain(self, alpha, n, points):
+        g = build_geometry(alpha, n)
+        d = build_lattice_domain(g)
+        for wx, wy in points:
+            z = (wx - g.z0[0], wy - g.z0[1])
+            inside = contains(g, z)
+            assert inside == bool(sector_mask(g, wx, wy))
+            assert inside == (d.interior_index(z) >= 0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(alpha=ALPHAS, n=st.integers(8, 64))
+    def test_arcs_partition_boundary(self, alpha, n):
+        g = build_geometry(alpha, n)
+        d = build_lattice_domain(g)
+        assert set(d.boundary_arc.tolist()) == set(range(1, g.N + 1))
+        assert d.boundary_arc.tolist() == [arc_index(g, (int(x), int(y)))
+                                           for x, y in d.boundary]
+        inter = set(map(tuple, d.interior.tolist()))
+        assert inter.isdisjoint(map(tuple, d.boundary.tolist()))
+
+    @settings(max_examples=60, deadline=None)
+    @given(alpha=ALPHAS, n=st.integers(8, 256), data=st.data())
+    def test_brownian_arc_measure_sums_to_one(self, alpha, n, data):
+        g = build_geometry(alpha, n)
+        R = 2 * n
+        w = (data.draw(st.integers(-R, R)), data.draw(st.integers(-R, R)))
+        z = (w[0] - g.z0[0], w[1] - g.z0[1])
+        assume(contains(g, z))
+        m = bm_arc_measure(g, z)
+        assert m.total == pytest.approx(1.0, abs=1e-9)
+        assert np.all(m.probabilities >= 0)
 
 
 class TestArcIndex:

@@ -91,14 +91,6 @@ class TestRateSweep:
         with pytest.raises(FitError):
             rate_sweep(ExperimentConfig(alphas=(PI,), ns=(8, 16)))
 
-    def test_workers_give_same_result(self):
-        cfg = ExperimentConfig(alphas=(PI,), ns=(8, 12, 16))
-        seq = rate_sweep(cfg, workers=1)
-        par = rate_sweep(cfg, workers=3)
-        assert seq[0].slope == par[0].slope
-        assert [p.sup_error for p in seq[0].points] == \
-            [p.sup_error for p in par[0].points]
-
 
 class TestExpdiff:
     def test_preconditions(self):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from pacgreen import (ConformalChain, DomainError, SingularityError,
+from pacgreen import (DomainError, SingularityError,
                       bm_arc_measure, build_geometry, cauchy_interval_measure,
                       contains, green_halfdisk, green_halfplane, green_pacman,
                       halfdisk_to_halfplane, map_to_halfdisk)
@@ -158,21 +158,12 @@ class TestGreenPacman:
 
 
 class TestConformalChain:
-    def test_delegates_and_branch(self):
-        g = build_geometry(PI / 2, 64)
-        chain = ConformalChain(g)
-        assert chain.argument_range == (0.0, 2 * PI)
-        assert chain.to_halfdisk(0j) == map_to_halfdisk(g, 0j)
-        assert chain.green(0j, 5 + 5j) == green_pacman(g, 0j, 5 + 5j)
-        assert chain.arc_measure(0j).total == pytest.approx(1.0, abs=1e-9)
-
     def test_boundary_rays_land_in_real_segment(self):
         g = build_geometry(PI / 2, 64)
-        chain = ConformalChain(g)
         for r in (5.0, 30.0, 100.0):
             for theta in (0.0, 2 * PI - g.alpha):
                 z = r * cmath.exp(1j * theta) - g.z0_complex
-                u = chain.to_halfdisk(z)
+                u = map_to_halfdisk(g, z)
                 assert abs(u.imag) < 1e-12
                 assert -1 <= u.real <= 1
 

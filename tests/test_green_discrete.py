@@ -194,6 +194,14 @@ class TestGreenViaPotential:
         F2 = green_via_potential(pacman16, (4, -3))
         assert np.max(np.abs(F1.values - F2.values)) <= 1e-6
 
+    @pytest.mark.parametrize("alpha", [PI / 4, 3 * PI / 4])
+    def test_matches_green_solve_with_lattice_edge(self, alpha):
+        # the theta = 2 pi - alpha edge runs through lattice points here
+        d = build_lattice_domain(build_geometry(alpha, 16))
+        F1 = green_solve(d, (0, 0))
+        F2 = green_via_potential(d, (0, 0))
+        assert np.max(np.abs(F1.values - F2.values)) <= 1e-6
+
 
 class TestMonteCarloEquivalence:
     def test_plus_shape(self, plus_domain):

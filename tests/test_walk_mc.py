@@ -8,6 +8,7 @@ from pacgreen import (ArcMeasure, DomainError, StepBudgetError, WalkRunConfig,
                       discrete_arc_measure, green_mc, green_solve,
                       lattice_domain_from_sites, mean_exit_steps,
                       simulate_exit, trial_rng, walk_arc_measure)
+from pacgreen.walk_mc import sample_exits
 
 PI = math.pi
 
@@ -71,11 +72,12 @@ class TestWalkArcMeasure:
         assert np.array_equal(a.counts, b.counts)
         assert np.array_equal(a.probabilities, b.probabilities)
 
-    def test_worker_count_does_not_change_results(self, pacman16):
-        cfg = WalkRunConfig(trials=600, seed=55)
-        seq = walk_arc_measure(pacman16, (0, 0), cfg, workers=1)
-        par = walk_arc_measure(pacman16, (0, 0), cfg, workers=4)
-        assert np.array_equal(seq.counts, par.counts)
+    def test_trial_streams_replay_as_a_prefix(self, pacman16):
+        # trial i draws only from stream (seed, i): a longer run repeats
+        # every exit of a shorter one
+        long = sample_exits(pacman16, (0, 0), WalkRunConfig(trials=600, seed=55))
+        short = sample_exits(pacman16, (0, 0), WalkRunConfig(trials=300, seed=55))
+        assert np.array_equal(long[:300], short)
 
     def test_matches_exact_harmonic_measure(self, pacman16):
         # exact-oracle check at module scale; the acceptance suite runs the
@@ -93,8 +95,7 @@ class TestWalkArcMeasure:
         d = build_lattice_domain(g)
         bm = bm_arc_measure(g, 0j).probabilities
         m = walk_arc_measure(d, (0, 0),
-                             WalkRunConfig(trials=100_000, seed=20260808),
-                             workers=4)
+                             WalkRunConfig(trials=100_000, seed=20260808))
         tv = 0.5 * float(np.abs(m.probabilities - bm).sum())
         assert tv <= 0.05
 
