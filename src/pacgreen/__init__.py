@@ -14,7 +14,7 @@ from .potential import (EULER_GAMMA, K0, PotentialKernelConfig,
 from .green_continuous import (bm_arc_measure, cauchy_interval_measure,
                                green_halfdisk, green_halfplane, green_pacman,
                                halfdisk_to_halfplane, map_to_halfdisk)
-from .green_discrete import (ScalarField, SolverConfig, dirichlet_solve,
+from .green_discrete import (ScalarField, dirichlet_solve,
                              discrete_arc_measure, green_solve,
                              green_via_potential)
 from .walk_mc import (ArcMeasure, WalkRunConfig, green_mc, mean_exit_steps,
@@ -35,7 +35,7 @@ __all__ = [
     "bm_arc_measure", "cauchy_interval_measure", "green_halfdisk",
     "green_halfplane", "green_pacman",
     "halfdisk_to_halfplane", "map_to_halfdisk",
-    "ScalarField", "SolverConfig", "dirichlet_solve", "discrete_arc_measure",
+    "ScalarField", "dirichlet_solve", "discrete_arc_measure",
     "green_solve", "green_via_potential",
     "ArcMeasure", "WalkRunConfig", "green_mc", "mean_exit_steps",
     "simulate_exit", "trial_rng", "walk_arc_measure",

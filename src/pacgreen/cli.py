@@ -27,7 +27,7 @@ from .errors import DomainError, PlotError
 from .experiments import (ExperimentConfig, expdiff_estimate, prop_bound_scale,
                           rate_sweep)
 from .green_continuous import bm_arc_measure, green_pacman_many
-from .green_discrete import DEFAULT_SOLVER, green_solve
+from .green_discrete import green_solve
 from .potential import potential_asymptotic, potential_exact
 from .walk_mc import WalkRunConfig, walk_arc_measure
 
@@ -178,7 +178,7 @@ def _cmd_field(args) -> int:
                                      "with_continuous": args.with_continuous},
                            None, __version__, _now())
     d = build_lattice_domain(g)
-    G = green_solve(d, args.source, DEFAULT_SOLVER)
+    G = green_solve(d, args.source)
     rows = []
     if args.with_continuous:
         zc = d.interior[:, 0] + 1j * d.interior[:, 1]

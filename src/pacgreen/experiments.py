@@ -29,7 +29,7 @@ from .domain import (PacmanGeometry, _as_complex, build_geometry,
                      build_lattice_domain, contains, nearest_boundary)
 from .errors import DomainError, FitError
 from .green_continuous import bm_arc_measure, green_pacman_many
-from .green_discrete import DEFAULT_SOLVER, ScalarField, SolverConfig, green_solve
+from .green_discrete import ScalarField, green_solve
 from .potential import kernel_remainder
 from .walk_mc import WalkRunConfig, sample_exits, trial_rng
 
@@ -87,8 +87,6 @@ class RateFitResult:
 class ExperimentConfig:
     alphas: tuple
     ns: tuple
-    solver: SolverConfig = DEFAULT_SOLVER
-    region_rule: str = "restricted"
 
     def __post_init__(self):
         if not self.alphas:
@@ -98,11 +96,9 @@ class ExperimentConfig:
             raise DomainError("every n must be >= 8")
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise DomainError("ns must be strictly increasing")
-        if self.region_rule not in ("restricted", "all"):
-            raise DomainError(f"unknown region rule {self.region_rule!r}")
 
 
-def _region_errors(g: PacmanGeometry, solver: SolverConfig, region_rule: str):
+def _region_errors(g: PacmanGeometry):
     """Raw and corrected errors on the admissible region.
 
     The raw error is |G(w) - (2/pi) g(w)|.  The region rule bounds the
@@ -118,9 +114,9 @@ def _region_errors(g: PacmanGeometry, solver: SolverConfig, region_rule: str):
     if not contains(g, 0j):
         raise DomainError("origin is not interior for this geometry")
     d = build_lattice_domain(g)
-    G = green_solve(d, (0, 0), solver)
+    G = green_solve(d, (0, 0))
     zc = d.interior[:, 0] + 1j * d.interior[:, 1]
-    rmin = region_min_radius(g) if region_rule == "restricted" else 1.0
+    rmin = region_min_radius(g)
     mask = np.abs(zc) >= rmin
     gvals = green_pacman_many(g, 0j, zc[mask])
     diff = G.values[mask] - (2.0 / math.pi) * gvals
@@ -129,23 +125,21 @@ def _region_errors(g: PacmanGeometry, solver: SolverConfig, region_rule: str):
     return rmin, mask, np.abs(diff), corrected, G
 
 
-def error_field(g: PacmanGeometry,
-                cfg: SolverConfig = DEFAULT_SOLVER) -> ScalarField:
+def error_field(g: PacmanGeometry) -> ScalarField:
     """Field of |G(w) - (2/pi) g(w)| on the admissible region.
 
     Sites inside the excluded origin ball carry 0 so the field stays
     defined over all interior sites.
     """
-    _, mask, err, _, G = _region_errors(g, cfg, "restricted")
+    _, mask, err, _, G = _region_errors(g)
     values = np.zeros(G.domain.interior_count)
     values[mask] = err
     return ScalarField(G.domain, values)
 
 
-def _rate_point(alpha: float, n: int, solver: SolverConfig,
-                region_rule: str) -> RatePoint:
+def _rate_point(alpha: float, n: int) -> RatePoint:
     g = build_geometry(alpha, n)
-    rmin, _, err, corrected, _ = _region_errors(g, solver, region_rule)
+    rmin, _, err, corrected, _ = _region_errors(g)
     return RatePoint(n=n, sup_error=float(err.max()),
                      mean_error=float(err.mean()), region_min_radius=rmin,
                      corrected_sup_error=float(corrected.max()))
@@ -162,7 +156,7 @@ def rate_sweep(cfg: ExperimentConfig) -> list[RateFitResult]:
         raise FitError("need at least 3 scales per alpha")
     results = []
     for a in cfg.alphas:
-        pts = [_rate_point(a, n, cfg.solver, cfg.region_rule) for n in cfg.ns]
+        pts = [_rate_point(a, n) for n in cfg.ns]
         slope, intercept, r2 = fit_loglog(
             [(math.log(p.n) ** 2 / p.n, p.sup_error) for p in pts])
         corrected_slope, _, _ = fit_loglog(

@@ -32,16 +32,17 @@ EULER_GAMMA = 0.5772156649015328606
 K0 = (2.0 * EULER_GAMMA + 3.0 * math.log(2.0)) / math.pi
 
 
+# Gauss-Legendre order of every quadrature of the kernel.
+QUADRATURE_ORDER = 512
+
+
 @dataclass(frozen=True)
 class PotentialKernelConfig:
-    """Evaluation policy: quadrature order and exact/asymptotic switch radius."""
+    """Evaluation policy: the exact/asymptotic switch radius."""
 
-    quadrature_points_per_axis: int = 512
     asymptotic_cutoff_radius: float = 50.0
 
     def __post_init__(self):
-        if self.quadrature_points_per_axis < 128:
-            raise DomainError("quadrature_points_per_axis must be >= 128")
         if self.asymptotic_cutoff_radius < 20:
             raise DomainError("asymptotic_cutoff_radius must be >= 20")
 
@@ -55,9 +56,9 @@ DEFAULT_CONFIG = PotentialKernelConfig()
 REPRESENTATION_CONFIG = PotentialKernelConfig(asymptotic_cutoff_radius=200.0)
 
 
-@lru_cache(maxsize=8)
-def _gauss_rule(order: int):
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+@lru_cache(maxsize=1)
+def _gauss_rule():
+    nodes, weights = np.polynomial.legendre.leggauss(QUADRATURE_ORDER)
     t = (nodes + 1.0) * (math.pi / 2.0)
     w = weights * (math.pi / 2.0)
     half = np.sin(t / 2.0)
@@ -69,9 +70,9 @@ def _gauss_rule(order: int):
 _BLOCK = 4096
 
 
-def potential_exact_many(xs, ys, order: int = 512) -> np.ndarray:
+def potential_exact_many(xs, ys) -> np.ndarray:
     """Vectorized exact kernel over integer offset arrays xs, ys."""
-    t, w, s, rho = _gauss_rule(order)
+    t, w, s, rho = _gauss_rule()
     x1 = np.abs(np.asarray(xs, dtype=np.float64))
     x2 = np.abs(np.asarray(ys, dtype=np.float64))
     out = np.empty(x1.shape, dtype=np.float64)
@@ -83,18 +84,17 @@ def potential_exact_many(xs, ys, order: int = 512) -> np.ndarray:
     return out
 
 
-def potential_exact(x, cfg: PotentialKernelConfig = DEFAULT_CONFIG) -> float:
+def potential_exact(x) -> float:
     """a(x) by quadrature; a(0) = 0 exactly."""
     x1, x2 = int(x[0]), int(x[1])
     if x1 == 0 and x2 == 0:
         return 0.0
-    return float(potential_exact_many([x1], [x2],
-                                      cfg.quadrature_points_per_axis)[0])
+    return float(potential_exact_many([x1], [x2])[0])
 
 
-def potential_tensor(x, order: int = 512) -> float:
+def potential_tensor(x) -> float:
     """a(x) by the raw two-axis tensor-product rule (cross-check only)."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = np.polynomial.legendre.leggauss(QUADRATURE_ORDER)
     t = nodes * math.pi
     w = weights * math.pi
     ct = np.cos(t)
@@ -115,7 +115,7 @@ def potential(x, cfg: PotentialKernelConfig = DEFAULT_CONFIG) -> float:
     """Exact kernel inside the cutoff radius, asymptotic expansion outside."""
     r = math.hypot(x[0], x[1])
     if r <= cfg.asymptotic_cutoff_radius:
-        return potential_exact(x, cfg)
+        return potential_exact(x)
     return potential_asymptotic(x)
 
 
@@ -128,8 +128,7 @@ def potential_many(xs, ys, cfg: PotentialKernelConfig = DEFAULT_CONFIG) -> np.nd
     near = (r <= cfg.asymptotic_cutoff_radius) & (r > 0)
     far = ~near & (r > 0)
     if near.any():
-        out[near] = potential_exact_many(xs[near], ys[near],
-                                         cfg.quadrature_points_per_axis)
+        out[near] = potential_exact_many(xs[near], ys[near])
     if far.any():
         out[far] = (2.0 / math.pi) * np.log(r[far]) + K0
     return out
@@ -142,14 +141,13 @@ def _remainder_table() -> np.ndarray:
     Filled one row of x at a time so the quadrature's temporaries stay
     small; entries beyond the cutoff radius (and the origin) stay 0.
     """
-    cfg = DEFAULT_CONFIG
-    m = int(cfg.asymptotic_cutoff_radius)
+    cut = DEFAULT_CONFIG.asymptotic_cutoff_radius
+    m = int(cut)
     table = np.zeros((m + 1, m + 1))
     for x in range(1, m + 1):
         y = np.arange(x + 1)
-        y = y[np.hypot(x, y) <= cfg.asymptotic_cutoff_radius]
-        table[x, y] = (potential_exact_many(np.full(y.shape, x), y,
-                                            cfg.quadrature_points_per_axis)
+        y = y[np.hypot(x, y) <= cut]
+        table[x, y] = (potential_exact_many(np.full(y.shape, x), y)
                        - (2.0 / math.pi) * np.log(np.hypot(x, y)) - K0)
     table.flags.writeable = False   # shared by every caller through the cache
     return table

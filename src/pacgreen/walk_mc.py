@@ -26,28 +26,14 @@ _CHUNK_MAX = 32768
 
 @dataclass(frozen=True)
 class WalkRunConfig:
-    """Trial count, stream seed, and per-trial step budget.
-
-    max_steps_per_trial of None resolves to 100 (2n)^2 at run time; an
-    explicit value below that diffusive safety factor is rejected.
-    """
+    """Trial count and stream seed."""
 
     trials: int
     seed: int
-    max_steps_per_trial: int | None = None
 
     def __post_init__(self):
         if self.trials < 1:
             raise DomainError("trials must be positive")
-
-    def resolve_budget(self, n: int) -> int:
-        floor = 100 * (2 * n) ** 2
-        if self.max_steps_per_trial is None:
-            return floor
-        if self.max_steps_per_trial < floor:
-            raise DomainError(
-                f"max_steps_per_trial must be >= 100 (2n)^2 = {floor}")
-        return self.max_steps_per_trial
 
 
 @dataclass
@@ -76,6 +62,12 @@ def trial_rng(seed: int, stream: int) -> np.random.Generator:
     """Philox generator for one (seed, stream) pair."""
     key = np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _budget(n: int) -> int:
+    """Per-trial step budget: 100 times (2n)^2, the mean exit time from
+    the centre of the disk of radius 2n."""
+    return 100 * (2 * n) ** 2
 
 
 def _simulate(d: LatticeDomain, start, count_site, rng, max_steps):
@@ -114,22 +106,13 @@ def _simulate(d: LatticeDomain, start, count_site, rng, max_steps):
         f"walk did not exit within {max_steps} steps (configuration bug)")
 
 
-def simulate_exit(d: LatticeDomain, start, rng: np.random.Generator,
-                  max_steps: int | None = None):
+def simulate_exit(d: LatticeDomain, start, rng: np.random.Generator):
     """Run one walk from an interior site until it leaves the interior.
 
     Returns (exit site, visits to start including time 0, step count).
     """
-    if d.interior_index(start) < 0:
-        raise DomainError(f"start {start} is not an interior site")
-    budget = max_steps if max_steps is not None \
-        else 100 * (2 * d.geometry.n) ** 2
-    return _simulate(d, start, start, rng, budget)
-
-
-def _check_start(d: LatticeDomain, x):
-    if d.interior_index(x) < 0:
-        raise DomainError(f"{x} is not an interior site")
+    d.require_interior(start)
+    return _simulate(d, start, start, rng, _budget(d.geometry.n))
 
 
 def _run_trials(d: LatticeDomain, start, count_site, cfg: WalkRunConfig):
@@ -138,7 +121,7 @@ def _run_trials(d: LatticeDomain, start, count_site, cfg: WalkRunConfig):
     Trial i draws only from its own Philox stream (cfg.seed, i), so any
     prefix of trials reproduces exactly under a larger trial count.
     """
-    budget = cfg.resolve_budget(d.geometry.n)
+    budget = _budget(d.geometry.n)
     exits = np.empty((cfg.trials, 2), dtype=np.int64)
     visits = np.empty(cfg.trials, dtype=np.int64)
     steps = np.empty(cfg.trials, dtype=np.int64)
@@ -150,7 +133,7 @@ def _run_trials(d: LatticeDomain, start, count_site, cfg: WalkRunConfig):
 
 def walk_arc_measure(d: LatticeDomain, x, cfg: WalkRunConfig) -> ArcMeasure:
     """Empirical exit distribution over boundary arcs, from x."""
-    _check_start(d, x)
+    d.require_interior(x)
     g = d.geometry
     exits, _, _ = _run_trials(d, x, x, cfg)
     radii = np.hypot(exits[:, 0] + g.z0[0], exits[:, 1] + g.z0[1])
@@ -169,9 +152,8 @@ def green_mc(d: LatticeDomain, w, cfg: WalkRunConfig, start=None):
     """
     if start is None:
         start = w
-    _check_start(d, start)
-    if d.interior_index(w) < 0:
-        raise DomainError(f"{w} is not an interior site")
+    d.require_interior(start)
+    d.require_interior(w)
     _, visits, _ = _run_trials(d, start, w, cfg)
     visits = visits.astype(np.float64)
     se = visits.std(ddof=1) / math.sqrt(cfg.trials) if cfg.trials > 1 else 0.0
@@ -180,7 +162,7 @@ def green_mc(d: LatticeDomain, w, cfg: WalkRunConfig, start=None):
 
 def mean_exit_steps(d: LatticeDomain, x, cfg: WalkRunConfig):
     """Mean and standard error of the exit time from x."""
-    _check_start(d, x)
+    d.require_interior(x)
     _, _, steps = _run_trials(d, x, x, cfg)
     steps = steps.astype(np.float64)
     se = steps.std(ddof=1) / math.sqrt(cfg.trials) if cfg.trials > 1 else 0.0
@@ -189,6 +171,6 @@ def mean_exit_steps(d: LatticeDomain, x, cfg: WalkRunConfig):
 
 def sample_exits(d: LatticeDomain, x, cfg: WalkRunConfig) -> np.ndarray:
     """Exit sites for every trial, as an (trials, 2) array of z-frame points."""
-    _check_start(d, x)
+    d.require_interior(x)
     exits, _, _ = _run_trials(d, x, x, cfg)
     return exits

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -89,6 +90,21 @@ class TestFieldCommand:
         for r in rows[1:20]:
             x, y, G = r.split(",")[:3]
             assert float(G) == pytest.approx(F.value_at((int(x), int(y))), abs=1e-12)
+
+    def test_lattice_over_physical_memory(self, tmp_path):
+        # (4n + 3)^2 cells at n = 10^6 need about 670 TB; the guard must
+        # refuse before any grid is allocated
+        out = tmp_path / "f.csv"
+        tracemalloc.start()
+        try:
+            rc = dispatch(["field", "--alpha", "0", "--n", "1000000",
+                           "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        assert peak < 2 ** 20
+        assert not out.exists()
 
     def test_with_continuous(self, tmp_path):
         out = tmp_path / "f.csv"

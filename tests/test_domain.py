@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pacgreen import (DomainError, arc_index, bm_arc_measure, build_geometry,
-                      build_lattice_domain, c_alpha, contains,
+                      build_lattice_domain, c_alpha, contains, green_pacman,
                       lattice_domain_from_sites, nearest_boundary)
 from pacgreen.domain import sector_mask
 
@@ -107,6 +107,22 @@ class TestContains:
         # ... and boundary for alpha = pi
         gpi = build_geometry(PI, 16)
         assert not contains(gpi, -gpi.z0_complex + complex(-5, 0))
+
+
+class TestPointCoercion:
+    @pytest.mark.parametrize("call", [
+        lambda g, d, z: contains(g, z),
+        lambda g, d, z: nearest_boundary(g, z),
+        lambda g, d, z: tuple(bm_arc_measure(g, z).probabilities),
+        lambda g, d, z: green_pacman(g, 0j, z),
+        lambda g, d, z: d.interior_index(z),
+    ], ids=["contains", "nearest_boundary", "bm_arc_measure", "green_pacman",
+            "interior_index"])
+    def test_site_row_equals_tuple(self, call):
+        g = build_geometry(PI, 16)
+        d = build_lattice_domain(g)
+        row = d.interior[5]
+        assert call(g, d, row) == call(g, d, (int(row[0]), int(row[1])))
 
 
 class TestLatticeDomain:

@@ -46,7 +46,7 @@ class TestErrorField:
         assert np.all(F.values >= 0)
         assert np.all(np.isfinite(F.values))
 
-    def test_region_rule(self):
+    def test_origin_ball_excluded(self):
         g = build_geometry(PI, 16)
         rmin = region_min_radius(g)
         assert rmin == pytest.approx((16 / math.log(16) ** 2) ** (g.c_alpha / 2))
@@ -72,8 +72,6 @@ class TestExperimentConfig:
             ExperimentConfig(alphas=(0.0,), ns=(4, 16, 32))
         with pytest.raises(DomainError):
             ExperimentConfig(alphas=(0.0,), ns=(16, 16, 32))
-        with pytest.raises(DomainError):
-            ExperimentConfig(alphas=(0.0,), ns=(8, 16), region_rule="bogus")
 
 
 class TestRateSweep:

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from pacgreen import (ConvergenceError, DomainError, SolverConfig, WalkRunConfig,
+from pacgreen import (ConvergenceError, DomainError, WalkRunConfig,
                       build_geometry, build_lattice_domain, dirichlet_solve,
                       discrete_arc_measure, green_mc, green_solve,
                       green_via_potential, lattice_domain_from_sites)
-from pacgreen.green_discrete import (DEFAULT_SOLVER, _box_preconditioner, _cg,
+from pacgreen.green_discrete import (MAX_ITERATIONS, RESIDUAL_TOLERANCE,
+                                     _box_preconditioner, _cg, _gauss_seidel,
                                      _system)
 
 PI = math.pi
@@ -45,6 +46,14 @@ def absorbing_chain_green(d, w):
     return np.linalg.solve(A, b), index
 
 
+def origin_system(d):
+    """(I - P) and the right-hand side e_0 of the Green's solve from (0, 0)."""
+    A, _ = _system(d)
+    b = np.zeros(d.interior_count)
+    b[d.interior_index((0, 0))] = 1.0
+    return A, b
+
+
 class TestGreenSolve:
     def test_single_site_is_one(self, single_domain):
         assert green_solve(single_domain, (0, 0)).value_at((0, 0)) == pytest.approx(1.0, abs=1e-12)
@@ -75,18 +84,20 @@ class TestGreenSolve:
     def test_source_must_be_interior(self, pacman16):
         with pytest.raises(DomainError):
             green_solve(pacman16, (10 ** 6, 0))
+        with pytest.raises(DomainError):
+            green_solve(pacman16, (10 ** 400, 0))
 
     def test_gauss_seidel_agrees(self):
         d = build_lattice_domain(build_geometry(PI, 8))
         cg = green_solve(d, (0, 0))
-        gs = green_solve(d, (0, 0), SolverConfig(method="gauss-seidel",
-                                                 max_iterations=200_000))
-        assert np.max(np.abs(cg.values - gs.values)) < 1e-8
+        A, b = origin_system(d)
+        gs, _ = _gauss_seidel(A, b, d, RESIDUAL_TOLERANCE, MAX_ITERATIONS)
+        assert np.max(np.abs(cg.values - gs)) < 1e-8
 
     def test_gauss_seidel_convergence_error(self, pacman16):
+        A, b = origin_system(pacman16)
         with pytest.raises(ConvergenceError) as err:
-            green_solve(pacman16, (0, 0),
-                        SolverConfig(method="gauss-seidel", max_iterations=1000))
+            _gauss_seidel(A, b, pacman16, RESIDUAL_TOLERANCE, 1000)
         assert err.value.residual is not None
         assert err.value.residual > 0
 
@@ -165,14 +176,11 @@ class TestPreconditionedCG:
     def test_iteration_guard(self, alpha):
         # 24-36 iterations with the box preconditioner; hundreds without
         d = build_lattice_domain(build_geometry(alpha, 64))
-        A, _ = _system(d)
-        b = np.zeros(d.interior_count)
-        b[d.interior_index((0, 0))] = 1.0
-        tol = DEFAULT_SOLVER.residual_tolerance
-        x, iterations = _cg(A, b, _box_preconditioner(d), tol,
-                            DEFAULT_SOLVER.max_iterations)
+        A, b = origin_system(d)
+        x, iterations = _cg(A, b, _box_preconditioner(d), RESIDUAL_TOLERANCE,
+                            MAX_ITERATIONS)
         assert iterations <= 60
-        assert np.max(np.abs(b - A @ x)) <= tol
+        assert np.max(np.abs(b - A @ x)) <= RESIDUAL_TOLERANCE
 
 
 class TestGreenViaPotential:
@@ -213,15 +221,3 @@ class TestMonteCarloEquivalence:
         exact = green_solve(d, (0, 0)).value_at((0, 0))
         est, se = green_mc(d, (0, 0), WalkRunConfig(trials=20000, seed=101))
         assert abs(est - exact) <= 3 * se
-
-
-class TestSolverConfig:
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            SolverConfig(method="jacobi")
-        with pytest.raises(DomainError):
-            SolverConfig(residual_tolerance=1e-5)
-        with pytest.raises(DomainError):
-            SolverConfig(residual_tolerance=0.0)
-        with pytest.raises(DomainError):
-            SolverConfig(max_iterations=10)

@@ -142,6 +142,4 @@ class TestPolicy:
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
-            PotentialKernelConfig(quadrature_points_per_axis=64)
-        with pytest.raises(DomainError):
             PotentialKernelConfig(asymptotic_cutoff_radius=10)

