@@ -6,10 +6,11 @@ __version__ = "0.1.0"
 from .domain import (PacmanGeometry, LatticeDomain, build_geometry,
                      build_lattice_domain, contains, arc_index, c_alpha,
                      lattice_domain_from_sites, nearest_boundary)
-from .errors import (ConvergenceError, DomainError, FitError, PlotError,
-                     SingularityError, StepBudgetError)
+from .errors import (ConvergenceError, DomainError, FitError,
+                     InvariantError, PlotError, SingularityError,
+                     StepBudgetError)
 from .potential import (EULER_GAMMA, K0, PotentialKernelConfig,
-                        kernel_remainder, potential, potential_asymptotic,
+                        kernel_remainder, potential_asymptotic,
                         potential_exact)
 from .green_continuous import (bm_arc_measure, cauchy_interval_measure,
                                green_halfdisk, green_halfplane, green_pacman,
@@ -27,10 +28,9 @@ __all__ = [
     "PacmanGeometry", "LatticeDomain", "build_geometry", "build_lattice_domain",
     "contains", "arc_index", "c_alpha", "lattice_domain_from_sites",
     "nearest_boundary",
-    "ConvergenceError", "DomainError", "FitError", "PlotError",
-    "SingularityError", "StepBudgetError",
+    "ConvergenceError", "DomainError", "FitError", "InvariantError",
+    "PlotError", "SingularityError", "StepBudgetError",
     "EULER_GAMMA", "K0", "PotentialKernelConfig", "kernel_remainder",
-    "potential",
     "potential_asymptotic", "potential_exact",
     "bm_arc_measure", "cauchy_interval_measure", "green_halfdisk",
     "green_halfplane", "green_pacman",

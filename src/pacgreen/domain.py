@@ -30,9 +30,11 @@ from .errors import DomainError
 # Distance below which a point counts as sitting on the tip singularity.
 TIP_GUARD = 1e-9
 
-# Peak bytes per cell of the (4n + 3)^2 grid while build_lattice_domain runs
-# (11.21 MB at n = 128 by tracemalloc).
-_BYTES_PER_CELL = 42
+# Peak bytes per cell of the (4n + 3)^2 grid for a lattice build followed by
+# a Green's solve, by tracemalloc: 262.3 at n = 128 and 264.0 at n = 256 for
+# alpha = 0, the largest domain (139.0 at alpha = pi), plus 1 for the walk
+# engine's level grid.
+_BYTES_PER_CELL = 270
 
 
 def c_alpha(alpha: float) -> float:
@@ -260,8 +262,8 @@ def lattice_domain_from_sites(g: PacmanGeometry, interior_sites) -> LatticeDomai
 def build_lattice_domain(g: PacmanGeometry) -> LatticeDomain:
     """Enumerate interior and boundary lattice sites of the domain.
 
-    Raises DomainError, before allocating, when the grid's working memory
-    would exceed the machine's physical memory.
+    Raises DomainError, before allocating, when the memory a solve on the
+    domain needs would exceed the machine's physical memory.
     """
     off = 2 * g.n + 1
     need = _BYTES_PER_CELL * (2 * off + 1) ** 2
@@ -269,7 +271,7 @@ def build_lattice_domain(g: PacmanGeometry) -> LatticeDomain:
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         if need > have:
             raise DomainError(f"n = {g.n} needs about {need / 2**30:.3g} GiB "
-                              f"for its lattice, over the {have / 2**30:.3g} "
-                              "GiB of physical memory")
+                              "for its lattice and a solve, over the "
+                              f"{have / 2**30:.3g} GiB of physical memory")
     ax = np.arange(-off, off + 1, dtype=np.int64)
     return _from_mask(g, sector_mask(g, ax[:, None], ax[None, :]), off)

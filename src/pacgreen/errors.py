@@ -18,6 +18,11 @@ class ConvergenceError(RuntimeError):
         self.iterations = iterations
 
 
+class InvariantError(RuntimeError):
+    """An internal consistency check failed: a fault of the program, not
+    of its input."""
+
+
 class StepBudgetError(RuntimeError):
     """A random-walk trial exhausted its step budget before exiting."""
 

@@ -15,8 +15,9 @@ from functools import partial
 import numpy as np
 import scipy.sparse as sp
 
+from .box import box_green
 from .domain import LatticeDomain
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, InvariantError
 from .potential import REPRESENTATION_CONFIG, potential_many
 from .walk_mc import ArcMeasure
 
@@ -35,9 +36,9 @@ class ScalarField:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
         if v.shape != (self.domain.interior_count,):
-            raise DomainError("field length must equal interior site count")
+            raise InvariantError("field length must equal interior site count")
         if not np.all(np.isfinite(v)):
-            raise DomainError("field values must be finite")
+            raise InvariantError("field values must be finite")
         self.values = v
 
     def value_at(self, z) -> float:
@@ -76,35 +77,19 @@ def _system(d: LatticeDomain):
     return A, B
 
 
-def _dst1(a):
-    """Unnormalised DST-I along the last axis, through rfft of the odd extension.
-
-    out_k = sum_m a_m sin(pi k m / (n + 1)) for k, m = 1..n; applying it
-    twice multiplies by (n + 1) / 2.
-    """
-    n = a.shape[-1]
-    ext = np.zeros(a.shape[:-1] + (2 * n + 2,))
-    ext[..., 1:n + 1] = a
-    ext[..., n + 2:] = -a[..., ::-1]
-    return -0.5 * np.fft.rfft(ext, axis=-1).imag[..., 1:n + 1]
-
-
-def _box_inverse(flat, inv, r):
-    """Scatter r into the box, solve there by DST-I twice, gather."""
-    box = np.zeros(inv.size)
+def _box_inverse(flat, solve, shape, r):
+    """Scatter r into the box, solve there, gather."""
+    box = np.zeros(shape[0] * shape[1])
     box[flat] = r
-    u = _dst1(_dst1(box.reshape(inv.shape[::-1])).T) * inv
-    return _dst1(_dst1(u).T).ravel()[flat]
+    return solve(box.reshape(shape)).ravel()[flat]
 
 
 def _box_preconditioner(d: LatticeDomain):
     """Exact inverse of (I - P) on the interior's bounding box, restricted.
 
-    The box carries Dirichlet walls, so DST-I along each axis diagonalises
-    its operator, with eigenvalues
-    lambda_jk = 1 - (cos(pi j / (nx + 1)) + cos(pi k / (ny + 1))) / 2.
-    Restricted to the domain's sites the inverse stays symmetric positive
-    definite, so it preconditions CG on (I - P); this is the fast-Poisson
+    The box carries Dirichlet walls (``box.box_green``).  Restricted to
+    the domain's sites the inverse stays symmetric positive definite, so
+    it preconditions CG on (I - P); this is the fast-Poisson
     idea of the capacitance method (Buzbee, Dorr, George & Golub, SIAM J.
     Numer. Anal. 1971).
     """
@@ -114,11 +99,8 @@ def _box_preconditioner(d: LatticeDomain):
     x = d.interior[:, 0] - d.interior[:, 0].min()
     y = d.interior[:, 1] - d.interior[:, 1].min()
     nx, ny = int(x.max()) + 1, int(y.max()) + 1
-    lam = 1.0 - 0.5 * (np.cos(np.pi * np.arange(1, nx + 1) / (nx + 1))[:, None]
-                       + np.cos(np.pi * np.arange(1, ny + 1) / (ny + 1))[None, :])
-    # indexed (x mode, y mode); 4 / ((nx + 1)(ny + 1)) undoes the two DST-I pairs
-    inv = 4.0 / ((nx + 1) * (ny + 1) * lam)
-    d._precond_cache = partial(_box_inverse, y * nx + x, inv)
+    d._precond_cache = partial(_box_inverse, y * nx + x, box_green(nx, ny),
+                               (ny, nx))
     return d._precond_cache
 
 

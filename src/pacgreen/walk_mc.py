@@ -2,18 +2,29 @@
 
 Each trial consumes its own counter-based Philox stream keyed by
 (seed, trial index), so trials are reproducible individually and the
-aggregate does not depend on execution order.  Paths are generated in
-vectorized chunks; the first lattice site outside the interior is the
-exit site.
+aggregate does not depend on execution order.
+
+Trials run on squares (Muller, Ann. Math. Stat. 1956), exactly on the
+lattice: from an interior site whose l-infinity ball of radius r >= 0 is
+interior (r a power of two, or 0), the walk is stopped on leaving the
+(2r + 1)^2 square around it; by the strong Markov property the site it
+stops at has the square's exit law from its centre, G_box / 4 on the
+row next to each side, so one draw replaces the whole sojourn.  Visit
+counts and exit times are Rao-Blackwellized: each sojourn adds its
+expectation, G_box(centre, w) or sum(G_box), in place of its realisation.
+``simulate_exit`` keeps the stepwise walk as the reference.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
+from .box import box_green
 from .domain import LatticeDomain, arc_index_of_radius
 from .errors import DomainError, StepBudgetError
 
@@ -22,6 +33,7 @@ _STEP_DX = np.array([1, -1, 0, 0], dtype=np.int64)
 _STEP_DY = np.array([0, 0, 1, -1], dtype=np.int64)
 _CHUNK0 = 1024
 _CHUNK_MAX = 32768
+_UNIFORMS = 32      # uniforms a jump walk draws from its stream at a time
 
 
 @dataclass(frozen=True)
@@ -115,27 +127,151 @@ def simulate_exit(d: LatticeDomain, start, rng: np.random.Generator):
     return _simulate(d, start, start, rng, _budget(d.geometry.n))
 
 
-def _run_trials(d: LatticeDomain, start, count_site, cfg: WalkRunConfig):
-    """(exits, visits, steps) arrays indexed by trial.
+@lru_cache(maxsize=None)
+def _square_law(r: int):
+    """Exit law of the (2r + 1)^2 square from its centre.
 
-    Trial i draws only from its own Philox stream (cfg.seed, i), so any
-    prefix of trials reproduces exactly under a larger trial count.
+    Returns (cum, mean time, G): cum bisects a uniform into a site of one
+    side (all four sides carry the same law), the mean exit time is
+    sum(G), and G = G_box(centre, .) is indexed [y, x] from the corner.
     """
+    m = 2 * r + 1
+    e = np.zeros((m, m))
+    e[r, r] = 1.0
+    # the 1 x 1 square is one step, with G = 1; the DST would round it
+    G = box_green(m, m)(e) if r else e
+    G.setflags(write=False)
+    side = G[:, -1]           # 4 x the exit law through the wall x = r + 1
+    cum = np.cumsum(side[:-1]) / side.sum()
+    return tuple(cum.tolist()), float(G.sum()), G
+
+
+def _erode(E, s):
+    """Sites x with E at x and at x +- s along each axis.
+
+    When E holds the sites whose l-infinity ball of radius r is interior
+    and s <= 2r + 1, the three balls cover one of radius r + s, so the
+    result holds the sites whose ball of radius r + s is interior.
+    """
+    F = np.zeros_like(E)
+    F[s:-s] = E[:-2 * s] & E[s:-s] & E[2 * s:]
+    out = np.zeros_like(E)
+    out[:, s:-s] = F[:, :-2 * s] & F[:, s:-s] & F[:, 2 * s:]
+    return out
+
+
+def _square_radius(code: int) -> int:
+    return 0 if code == 1 else 1 << (code - 2)
+
+
+def _jump_tables(d: LatticeDomain):
+    """Level grid and per-level jump laws of a domain, cached on it.
+
+    The level grid is indexed like the interior grid, flattened, one byte
+    a cell: 0 off the interior, and 1 + l at a site whose largest interior
+    square has radius r with 2^(l - 1) <= r < 2^l (l = 0 for r = 0).  It
+    comes from doubling erosions, E_1 = erode(E_0, 1) and
+    E_2r = erode(E_r, r).  Level code c jumps with square radius
+    ``_square_radius(c)``; its law is (flat offsets by side, cum, mean
+    time).
+    """
+    cached = getattr(d, "_jump_cache", None)
+    if cached is not None:
+        return cached
+    E = d._interior_grid >= 0
+    W = E.shape[1]
+    code = E.astype(np.uint8)
+    r = 0
+    while True:
+        step = max(r, 1)
+        E = _erode(E, step)
+        if not E.any():
+            break
+        r += step
+        code += E
+    laws = [None]
+    for c in range(1, int(code.max()) + 1):
+        r = _square_radius(c)
+        cum, mean_time, _ = _square_law(r)
+        t = range(-r, r + 1)
+        a = r + 1
+        offs = ([a * W + j for j in t], [a - j * W for j in t],
+                [-a * W - j for j in t], [j * W - a for j in t])
+        laws.append((offs, cum, mean_time))
+    d._jump_cache = (code.tobytes(), W, laws)
+    return d._jump_cache
+
+
+def _jump_walk(tables, p, q, rng, budget):
+    """One walk on squares from flat grid index p until it leaves the interior.
+
+    Returns (flat exit index, Rao-Blackwellized visits to flat index q,
+    or 0 when q < 0, Rao-Blackwellized exit time, jumps).  One uniform u
+    per jump picks side floor(4u) and, by bisection at 4u - side, the
+    site on it.
+    """
+    levels, W, laws = tables
+    qx, qy = divmod(q, W)
+    visits = time = 0.0
+    drawn = jumps = 0
+    us = ()
+    while code := levels[p]:
+        # us holds uniforms drawn - len(us) .. drawn - 1 of the stream
+        if jumps == drawn:
+            if drawn == budget:
+                raise StepBudgetError(
+                    f"walk did not exit within {budget} jumps (configuration bug)")
+            us = rng.random(min(_UNIFORMS, budget - drawn)).tolist()
+            drawn += len(us)
+        u = 4.0 * us[jumps - drawn]
+        jumps += 1
+        offs, cum, mean_time = laws[code]
+        time += mean_time
+        if q >= 0:
+            r = _square_radius(code)
+            px, py = divmod(p, W)
+            dx, dy = qx - px + r, qy - py + r
+            if 0 <= dx <= 2 * r and 0 <= dy <= 2 * r:
+                visits += float(_square_law(r)[2][dy, dx])
+        side = int(u)
+        p += offs[side][bisect_right(cum, u - side)]
+    return p, visits, time, jumps
+
+
+def _run_trials(d: LatticeDomain, start, count_site, cfg: WalkRunConfig):
+    """(exits, visits, exit times) arrays indexed by trial.
+
+    Visits to count_site (None counts nothing) and exit times are the
+    Rao-Blackwellized estimates of ``_jump_walk``.  Trial i draws only
+    from its own Philox stream (cfg.seed, i), so any prefix of trials
+    reproduces exactly under a larger trial count.
+    """
+    tables = _jump_tables(d)
+    W = tables[1]
+    z0, off = d.geometry.z0, d._offset
+
+    def flat(z):
+        return (int(z[0]) + z0[0] + off) * W + int(z[1]) + z0[1] + off
+
+    p0 = flat(start)
+    q = -1 if count_site is None else flat(count_site)
     budget = _budget(d.geometry.n)
-    exits = np.empty((cfg.trials, 2), dtype=np.int64)
-    visits = np.empty(cfg.trials, dtype=np.int64)
-    steps = np.empty(cfg.trials, dtype=np.int64)
+    ends = np.empty(cfg.trials, dtype=np.int64)
+    visits = np.empty(cfg.trials)
+    times = np.empty(cfg.trials)
     for i in range(cfg.trials):
-        exits[i], visits[i], steps[i] = _simulate(
-            d, start, count_site, trial_rng(cfg.seed, i), budget)
-    return exits, visits, steps
+        ends[i], visits[i], times[i], _ = _jump_walk(
+            tables, p0, q, trial_rng(cfg.seed, i), budget)
+    wx, wy = np.divmod(ends, W)
+    exits = np.stack([wx - off - z0[0], wy - off - z0[1]], axis=1)
+    return exits, visits, times
 
 
 def walk_arc_measure(d: LatticeDomain, x, cfg: WalkRunConfig) -> ArcMeasure:
     """Empirical exit distribution over boundary arcs, from x."""
     d.require_interior(x)
     g = d.geometry
-    exits, _, _ = _run_trials(d, x, x, cfg)
+    exits, _, _ = _run_trials(d, x, None, cfg)
     radii = np.hypot(exits[:, 0] + g.z0[0], exits[:, 1] + g.z0[1])
     arcs = arc_index_of_radius(g, radii)
     counts = np.bincount(arcs - 1, minlength=g.N)
@@ -148,23 +284,25 @@ def walk_arc_measure(d: LatticeDomain, x, cfg: WalkRunConfig) -> ArcMeasure:
 def green_mc(d: LatticeDomain, w, cfg: WalkRunConfig, start=None):
     """Visit-count estimate of the discrete Green's function G(start, w).
 
-    Returns (mean visit count, standard error).  Default start is w.
+    Each square sojourn adds G_box(centre, w), its expected visits to w.
+    Returns (mean estimate, standard error).  Default start is w.
     """
     if start is None:
         start = w
     d.require_interior(start)
     d.require_interior(w)
     _, visits, _ = _run_trials(d, start, w, cfg)
-    visits = visits.astype(np.float64)
     se = visits.std(ddof=1) / math.sqrt(cfg.trials) if cfg.trials > 1 else 0.0
     return float(visits.mean()), float(se)
 
 
 def mean_exit_steps(d: LatticeDomain, x, cfg: WalkRunConfig):
-    """Mean and standard error of the exit time from x."""
+    """Mean and standard error of the exit time from x.
+
+    Each square sojourn adds sum(G_box), its expected length in steps.
+    """
     d.require_interior(x)
-    _, _, steps = _run_trials(d, x, x, cfg)
-    steps = steps.astype(np.float64)
+    _, _, steps = _run_trials(d, x, None, cfg)
     se = steps.std(ddof=1) / math.sqrt(cfg.trials) if cfg.trials > 1 else 0.0
     return float(steps.mean()), float(se)
 
@@ -172,5 +310,5 @@ def mean_exit_steps(d: LatticeDomain, x, cfg: WalkRunConfig):
 def sample_exits(d: LatticeDomain, x, cfg: WalkRunConfig) -> np.ndarray:
     """Exit sites for every trial, as an (trials, 2) array of z-frame points."""
     d.require_interior(x)
-    exits, _, _ = _run_trials(d, x, x, cfg)
+    exits, _, _ = _run_trials(d, x, None, cfg)
     return exits

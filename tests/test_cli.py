@@ -7,9 +7,11 @@ import sys
 import tracemalloc
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
-from pacgreen import build_geometry, build_lattice_domain, green_solve
+from pacgreen import (build_geometry, build_lattice_domain, green_discrete,
+                      green_solve)
 from pacgreen.cli import atomic_write_text, dispatch, render_rate_plot
 from pacgreen.errors import PlotError
 
@@ -92,7 +94,7 @@ class TestFieldCommand:
             assert float(G) == pytest.approx(F.value_at((int(x), int(y))), abs=1e-12)
 
     def test_lattice_over_physical_memory(self, tmp_path):
-        # (4n + 3)^2 cells at n = 10^6 need about 670 TB; the guard must
+        # (4n + 3)^2 cells at n = 10^6 need about 4.3 PB; the guard must
         # refuse before any grid is allocated
         out = tmp_path / "f.csv"
         tracemalloc.start()
@@ -171,6 +173,25 @@ class TestExpdiffCommand:
                        "--x", "0,0", "--y", "0,0", "--trials", "10",
                        "--seed", "1", "--out", str(tmp_path / "e.csv")])
         assert rc == 2
+
+
+class TestExitCodes:
+    def test_invalid_input_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "f.csv"
+        assert dispatch(["field", "--alpha", "4", "--n", "8",
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("usage error: alpha")
+        assert not out.exists()
+
+    def test_internal_fault_exits_1(self, tmp_path, capsys, monkeypatch):
+        # a solve returning non-finite values breaks ScalarField's invariant
+        monkeypatch.setattr(green_discrete, "_solve",
+                            lambda d, b: np.full(b.shape, np.nan))
+        out = tmp_path / "f.csv"
+        assert dispatch(["field", "--alpha", "3.141592653589793", "--n", "8",
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: field values must be finite\n"
+        assert not out.exists()
 
 
 class TestAtomicWrites:

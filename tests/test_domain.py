@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ from hypothesis import strategies as st
 
 from pacgreen import (DomainError, arc_index, bm_arc_measure, build_geometry,
                       build_lattice_domain, c_alpha, contains, green_pacman,
-                      lattice_domain_from_sites, nearest_boundary)
-from pacgreen.domain import sector_mask
+                      green_solve, lattice_domain_from_sites, nearest_boundary)
+from pacgreen.domain import _BYTES_PER_CELL, sector_mask
+from pacgreen.walk_mc import _jump_tables
 
 PI = math.pi
 
@@ -196,6 +198,22 @@ class TestLatticeDomain:
             assert a.dtype == b.dtype
             assert np.array_equal(a, b), name
         assert e._offset == d._offset
+
+
+class TestMemoryGuard:
+    def test_estimate_bounds_a_solve(self):
+        # alpha = 0 gives the largest domain; the estimate must cover the
+        # build, a Green's solve and the walk engine's level grid
+        g = build_geometry(0.0, 64)
+        tracemalloc.start()
+        try:
+            d = build_lattice_domain(g)
+            green_solve(d, (0, 0))
+            _jump_tables(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= _BYTES_PER_CELL * (4 * g.n + 3) ** 2
 
 
 class TestEdgeProperties:

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from pacgreen import (DomainError, EULER_GAMMA, K0, PotentialKernelConfig,
-                      potential, potential_asymptotic, potential_exact)
-from pacgreen.potential import (kernel_remainder, potential_exact_many,
-                                potential_many, potential_tensor)
+                      potential_asymptotic, potential_exact)
+from pacgreen.potential import (kernel_remainder, potential,
+                                potential_exact_many, potential_many,
+                                potential_tensor)
 
 # Closed-form kernel values: a(1,0) = 1 pins the normalization, and
 # harmonicity at (1,0) with the diagonal value a(1,1) = 4/pi forces
@@ -143,3 +144,8 @@ class TestPolicy:
     def test_config_validation(self):
         with pytest.raises(DomainError):
             PotentialKernelConfig(asymptotic_cutoff_radius=10)
+
+
+def test_package_attribute_is_the_module():
+    import pacgreen
+    assert pacgreen.potential.potential_many is potential_many

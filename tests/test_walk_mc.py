@@ -2,15 +2,65 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.ndimage import distance_transform_cdt
 
 from pacgreen import (ArcMeasure, DomainError, StepBudgetError, WalkRunConfig,
                       bm_arc_measure, build_geometry, build_lattice_domain,
-                      discrete_arc_measure, green_mc, green_solve,
-                      lattice_domain_from_sites, mean_exit_steps,
+                      dirichlet_solve, discrete_arc_measure, green_mc,
+                      green_solve, lattice_domain_from_sites, mean_exit_steps,
                       simulate_exit, trial_rng, walk_arc_measure)
-from pacgreen.walk_mc import _simulate, sample_exits
+from pacgreen.green_discrete import _system
+from pacgreen.walk_mc import (_jump_tables, _jump_walk, _simulate,
+                              _square_law, _square_radius, sample_exits)
 
 PI = math.pi
+
+
+def flat_index(d, z):
+    """Index of a z-frame site in the jump engine's flattened grids."""
+    W = d._interior_grid.shape[1]
+    return ((z[0] + d.geometry.z0[0] + d._offset) * W
+            + z[1] + d.geometry.z0[1] + d._offset)
+
+
+def jump_kernel(d):
+    """The engine's jump kernel, read from its tables, as a sparse matrix
+    from interior sites to interior sites then boundary sites."""
+    levels, W, laws = _jump_tables(d)
+    M = d.interior_count
+    ig = d._interior_grid.ravel()
+    bg = d._boundary_grid.ravel()
+    column = np.where(ig >= 0, ig, np.where(bg >= 0, M + bg, -1))
+    P = flat_index(d, d.interior.T)
+    code = np.frombuffer(levels, dtype=np.uint8)[P]
+    rows, cols, vals = [], [], []
+    for c in np.unique(code):
+        offs, cum, _ = laws[c]
+        side = 0.25 * np.diff(cum, prepend=0.0, append=1.0)
+        i = np.nonzero(code == c)[0]
+        targets = P[i][:, None] + np.ravel(offs)[None, :]
+        rows.append(np.repeat(i, targets.shape[1]))
+        cols.append(column[targets].ravel())
+        vals.append(np.tile(side, 4 * i.size))
+    cols = np.concatenate(cols)
+    assert np.all(cols >= 0), "a jump lands off the interior and boundary"
+    return sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), cols)),
+                         shape=(M, M + d.boundary_count))
+
+
+def jump_defect(d):
+    """max over arcs k and interior x of |h_k(x) - sum_y K(x, y) h_k(y)|,
+    h_k the discrete-harmonic extension of the indicator of arc k."""
+    K = jump_kernel(d)
+    worst = 0.0
+    for k in range(1, d.geometry.N + 1):
+        hb = (d.boundary_arc == k).astype(np.float64)
+        h = dirichlet_solve(d, hb).values
+        worst = max(worst, float(np.max(np.abs(h - K @ np.concatenate([h, hb])))))
+    return worst
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +148,67 @@ class TestWalkArcMeasure:
                              WalkRunConfig(trials=100_000, seed=20260808))
         tv = 0.5 * float(np.abs(m.probabilities - bm).sum())
         assert tv <= 0.05
+
+
+class TestJumpEngine:
+    """Deterministic checks of the walk-on-squares tables; no Monte Carlo."""
+
+    @pytest.mark.parametrize("alpha, n", [(0.0, 8), (PI / 4, 16), (PI / 2, 12),
+                                          (1.0, 20), (PI, 24)])
+    def test_arc_harmonic_measures_are_jump_harmonic(self, alpha, n):
+        # exact iff every table, square radius and ring is right
+        d = build_lattice_domain(build_geometry(alpha, n))
+        assert jump_defect(d) <= 1e-9
+
+    @settings(max_examples=10, deadline=None)
+    @given(alpha=st.floats(0.0, PI), n=st.integers(8, 20))
+    def test_jump_harmonic_at_any_angle(self, alpha, n):
+        assert jump_defect(build_lattice_domain(build_geometry(alpha, n))) <= 1e-9
+
+    @pytest.mark.parametrize("h", [1, 2, 4, 8])
+    def test_square_law(self, h):
+        cum, mean_time, G = _square_law(h)
+        side = G[:, -1]
+        assert abs(side.sum() - 1.0) <= 1e-12     # four sides of G / 4
+        for other in (G[:, 0], G[0, :], G[-1, :]):
+            assert np.allclose(other, side, rtol=0, atol=1e-15)
+        # on a (2h + 1)^2 square domain the solver gives the same exit law
+        # B^T G as the engine's jump from the centre, and the same mean
+        # exit time sum(G)
+        g = build_geometry(PI, 8)
+        d = lattice_domain_from_sites(
+            g, [(x, y) for x in range(-h, h + 1) for y in range(-h, h + 1)])
+        levels, _, _ = _jump_tables(d)
+        assert _square_radius(levels[flat_index(d, (0, 0))]) == h
+        row = jump_kernel(d)[d.interior_index((0, 0))].toarray().ravel()
+        G_solve = green_solve(d, (0, 0)).values
+        exact = _system(d)[1].T @ G_solve
+        assert not row[:d.interior_count].any()
+        assert np.max(np.abs(row[d.interior_count:] - exact)) <= 1e-9
+        assert mean_time == pytest.approx(G_solve.sum(), abs=1e-9)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, PI / 2, PI])
+    @pytest.mark.parametrize("n", [8, 33, 64])
+    def test_levels_follow_the_chessboard_distance(self, alpha, n):
+        d = build_lattice_domain(build_geometry(alpha, n))
+        interior = d._interior_grid >= 0
+        levels = np.frombuffer(_jump_tables(d)[0], dtype=np.uint8)
+        # largest interior square radius h, rounded down to a power of two
+        h = distance_transform_cdt(interior, metric="chessboard") - 1
+        expected = np.where(h > 0, np.floor(np.log2(np.maximum(h, 1))) + 2, 1)
+        assert np.array_equal(levels, np.where(interior, expected, 0).ravel())
+
+    def test_budget_exhaustion(self, pacman16):
+        with pytest.raises(StepBudgetError):
+            _jump_walk(_jump_tables(pacman16), flat_index(pacman16, (0, 0)), -1,
+                       trial_rng(1, 0), 1)
+
+    def test_mean_exit_steps_vs_solver(self):
+        # E_0[T] = sum_w G(0, w)
+        d = build_lattice_domain(build_geometry(PI, 8))
+        exact = green_solve(d, (0, 0)).values.sum()
+        est, se = mean_exit_steps(d, (0, 0), WalkRunConfig(trials=20000, seed=31))
+        assert abs(est - exact) <= 3 * se
 
 
 class TestGreenMc:
