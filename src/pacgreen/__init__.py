@@ -9,9 +9,8 @@ from .domain import (PacmanGeometry, LatticeDomain, build_geometry,
 from .errors import (ConvergenceError, DomainError, FitError,
                      InvariantError, PlotError, SingularityError,
                      StepBudgetError)
-from .potential import (EULER_GAMMA, K0, PotentialKernelConfig,
-                        kernel_remainder, potential_asymptotic,
-                        potential_exact)
+from .potential import (EULER_GAMMA, K0, kernel_remainder,
+                        potential_asymptotic, potential_exact)
 from .green_continuous import (bm_arc_measure, cauchy_interval_measure,
                                green_halfdisk, green_halfplane, green_pacman,
                                halfdisk_to_halfplane, map_to_halfdisk)
@@ -30,8 +29,8 @@ __all__ = [
     "nearest_boundary",
     "ConvergenceError", "DomainError", "FitError", "InvariantError",
     "PlotError", "SingularityError", "StepBudgetError",
-    "EULER_GAMMA", "K0", "PotentialKernelConfig", "kernel_remainder",
-    "potential_asymptotic", "potential_exact",
+    "EULER_GAMMA", "K0", "kernel_remainder", "potential_asymptotic",
+    "potential_exact",
     "bm_arc_measure", "cauchy_interval_measure", "green_halfdisk",
     "green_halfplane", "green_pacman",
     "halfdisk_to_halfplane", "map_to_halfdisk",

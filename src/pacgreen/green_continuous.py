@@ -25,7 +25,11 @@ from .walk_mc import ArcMeasure
 
 
 def map_to_halfdisk(g: PacmanGeometry, z) -> complex:
-    """Power map ((z + z0)/2n)^{c_alpha}, argument taken in [0, 2 pi)."""
+    """Power map ((z + z0)/2n)^{c_alpha}, argument taken in [0, 2 pi).
+
+    Scalar libm math, not ``_map_many``, whose numpy results differ in the
+    last bit: the rate experiment maps its source here.
+    """
     w = _as_complex(z) + g.z0_complex
     r = abs(w)
     if r <= TIP_GUARD:
@@ -84,7 +88,7 @@ def green_pacman(g: PacmanGeometry, z, w) -> float:
         raise DomainError("both points must be strictly interior")
     if zc == wc:
         raise SingularityError("Green's function diverges on the diagonal")
-    return green_halfplane(_to_halfplane(g, zc), _to_halfplane(g, wc))
+    return float(green_pacman_many(g, zc, np.array([wc]))[0])
 
 
 def green_pacman_many(g: PacmanGeometry, z, w_arr: np.ndarray) -> np.ndarray:

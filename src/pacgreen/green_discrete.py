@@ -18,7 +18,7 @@ import scipy.sparse as sp
 from .box import box_green
 from .domain import LatticeDomain
 from .errors import ConvergenceError, DomainError, InvariantError
-from .potential import REPRESENTATION_CONFIG, potential_many
+from .potential import potential_many
 from .walk_mc import ArcMeasure
 
 # Stopping rule of every Dirichlet solve: max-norm true residual.
@@ -180,17 +180,14 @@ def green_via_potential(d: LatticeDomain, w) -> ScalarField:
 
     Solves the Dirichlet problem with boundary data a(b - w) and subtracts
     a(z - w) pointwise; agrees with green_solve up to solver tolerance and
-    kernel evaluation error.  The kernel is evaluated under
-    REPRESENTATION_CONFIG (asymptotic form only beyond radius 200).
+    kernel evaluation error (the asymptotic form beyond
+    ``potential.EXACT_RADIUS``).
     """
     d.require_interior(w)
     wx, wy = int(w[0]), int(w[1])
-    # the config goes positionally: the benchmark's tracer reads it there
-    h = potential_many(d.boundary[:, 0] - wx, d.boundary[:, 1] - wy,
-                       REPRESENTATION_CONFIG)
+    h = potential_many(d.boundary[:, 0] - wx, d.boundary[:, 1] - wy)
     ext = dirichlet_solve(d, h)
-    a_int = potential_many(d.interior[:, 0] - wx, d.interior[:, 1] - wy,
-                           REPRESENTATION_CONFIG)
+    a_int = potential_many(d.interior[:, 0] - wx, d.interior[:, 1] - wy)
     return ScalarField(d, ext.values - a_int)
 
 

@@ -16,12 +16,18 @@ removable singularity limits it to |x| below roughly 50.
 
 For large |x| the expansion a(x) = (2/pi) log|x| + k0 + O(|x|^-2) with
 k0 = (2 gamma + 3 log 2)/pi takes over.
+
+Policy: ``potential_many`` and ``kernel_remainder`` read one table of the
+remainder eps(x) = a(x) - (2/pi) log|x| - k0 within EXACT_RADIUS, and
+eps = 0 beyond it.  At radius 200 |eps| is about 1.4e-6, well under the
+1e-5 budget of the potential-kernel representation of G_D, and order-512
+quadrature still resolves the cos(x1 t) oscillation there.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import types
 from functools import lru_cache
 
 import numpy as np
@@ -35,25 +41,12 @@ K0 = (2.0 * EULER_GAMMA + 3.0 * math.log(2.0)) / math.pi
 # Gauss-Legendre order of every quadrature of the kernel.
 QUADRATURE_ORDER = 512
 
+# Radius within which the kernel is exact; the asymptotic form applies beyond.
+EXACT_RADIUS = 200
 
-@dataclass(frozen=True)
-class PotentialKernelConfig:
-    """Evaluation policy: the exact/asymptotic switch radius."""
-
-    asymptotic_cutoff_radius: float = 50.0
-
-    def __post_init__(self):
-        if self.asymptotic_cutoff_radius < 20:
-            raise DomainError("asymptotic_cutoff_radius must be >= 20")
-
-
-DEFAULT_CONFIG = PotentialKernelConfig()
-
-# Policy used where the representation G_D(z,w) = E[a(S_T - w)] - a(z - w)
-# is evaluated: the asymptotic remainder at radius 200 is ~1.4e-6, well
-# under the 1e-5 cross-construction budget, while order-512 quadrature
-# still resolves the cos(x1 t) oscillation at that radius.
-REPRESENTATION_CONFIG = PotentialKernelConfig(asymptotic_cutoff_radius=200.0)
+# Read only by the benchmark's tracer (perfbench/tracing.py), which counts
+# the points inside the exact radius; delete it with the tracer's next change.
+DEFAULT_CONFIG = types.SimpleNamespace(asymptotic_cutoff_radius=EXACT_RADIUS)
 
 
 @lru_cache(maxsize=1)
@@ -67,7 +60,9 @@ def _gauss_rule():
     return t, w, s, rho
 
 
-_BLOCK = 4096
+# Points per quadrature block: temporaries of _BLOCK x QUADRATURE_ORDER
+# doubles (1 MB) whatever the number of points.
+_BLOCK = 256
 
 
 def potential_exact_many(xs, ys) -> np.ndarray:
@@ -80,7 +75,9 @@ def potential_exact_many(xs, ys) -> np.ndarray:
         a = x1[lo:lo + _BLOCK, None]
         b = x2[lo:lo + _BLOCK, None]
         f = (1.0 - np.cos(a * t[None, :]) * rho[None, :] ** b) / s[None, :]
-        out[lo:lo + _BLOCK] = (2.0 / math.pi) * (f @ w)
+        # row sums, not f @ w: BLAS rounds a row by its place in the block,
+        # and a point's value must not depend on the points beside it
+        out[lo:lo + _BLOCK] = (2.0 / math.pi) * (f * w).sum(axis=1)
     return out
 
 
@@ -111,62 +108,64 @@ def potential_asymptotic(x) -> float:
     return (2.0 / math.pi) * math.log(r) + K0
 
 
-def potential(x, cfg: PotentialKernelConfig = DEFAULT_CONFIG) -> float:
-    """Exact kernel inside the cutoff radius, asymptotic expansion outside."""
-    r = math.hypot(x[0], x[1])
-    if r <= cfg.asymptotic_cutoff_radius:
-        return potential_exact(x)
-    return potential_asymptotic(x)
+class _RemainderTable:
+    """eps on the octant 0 <= y <= x, indexed [x, y], filled lazily.
+
+    Rows 0..rows-1 are filled; entries beyond EXACT_RADIUS (and the
+    origin) stay 0.  One full-size array, filled in blocks of _BLOCK
+    points: growing it mid-computation then leaves no new allocation on
+    top of the heap to keep freed memory resident.
+    """
+
+    def __init__(self):
+        self.eps = np.zeros((EXACT_RADIUS + 1, EXACT_RADIUS + 1))
+        self.rows = 1
+
+    def upto(self, m: int) -> np.ndarray:
+        """The table with at least rows 0..min(m, EXACT_RADIUS) filled."""
+        m = min(m, EXACT_RADIUS)
+        if m >= self.rows:
+            x, y = np.tril_indices(m + 1)
+            r = np.hypot(x, y)
+            new = (x >= self.rows) & (r <= EXACT_RADIUS)
+            x, y, r = x[new], y[new], r[new]
+            self.eps[x, y] = (potential_exact_many(x, y)
+                              - (2.0 / math.pi) * np.log(r) - K0)
+            self.rows = m + 1
+        return self.eps
 
 
-def potential_many(xs, ys, cfg: PotentialKernelConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Vectorized policy evaluation over integer offset arrays."""
+_table = _RemainderTable()
+
+
+def potential_many(xs, ys) -> np.ndarray:
+    """a over integer offset arrays: (2/pi) log|x| + k0 + eps, exact within
+    EXACT_RADIUS and asymptotic beyond; a(0) = 0."""
     xs = np.asarray(xs, dtype=np.int64)
     ys = np.asarray(ys, dtype=np.int64)
     r = np.hypot(xs, ys)
-    out = np.zeros(xs.shape, dtype=np.float64)
-    near = (r <= cfg.asymptotic_cutoff_radius) & (r > 0)
-    far = ~near & (r > 0)
-    if near.any():
-        out[near] = potential_exact_many(xs[near], ys[near])
-    if far.any():
-        out[far] = (2.0 / math.pi) * np.log(r[far]) + K0
+    out = np.zeros(r.shape, dtype=np.float64)
+    nz = r > 0
+    out[nz] = ((2.0 / math.pi) * np.log(r[nz]) + K0
+               + kernel_remainder(xs[nz], ys[nz]))
     return out
-
-
-@lru_cache(maxsize=1)
-def _remainder_table() -> np.ndarray:
-    """eps on the octant 0 <= y <= x <= cutoff, indexed [x, y].
-
-    Filled one row of x at a time so the quadrature's temporaries stay
-    small; entries beyond the cutoff radius (and the origin) stay 0.
-    """
-    cut = DEFAULT_CONFIG.asymptotic_cutoff_radius
-    m = int(cut)
-    table = np.zeros((m + 1, m + 1))
-    for x in range(1, m + 1):
-        y = np.arange(x + 1)
-        y = y[np.hypot(x, y) <= cut]
-        table[x, y] = (potential_exact_many(np.full(y.shape, x), y)
-                       - (2.0 / math.pi) * np.log(np.hypot(x, y)) - K0)
-    table.flags.writeable = False   # shared by every caller through the cache
-    return table
 
 
 def kernel_remainder(xs, ys) -> np.ndarray:
     """eps(x) = a(x) - (2/pi) log|x| - k0 over integer offset arrays.
 
-    Exact (quadrature) within the default cutoff radius and 0 beyond it,
-    the policy of ``potential_many``; past radius 50, |eps| < 3e-5.
-    Raises DomainError at the origin, where eps is singular.
+    Exact (quadrature) within EXACT_RADIUS and 0 beyond it, the policy of
+    ``potential_many``.  Raises DomainError at the origin, where eps is
+    singular.
     """
     x1 = np.abs(np.asarray(xs, dtype=np.int64))
     x2 = np.abs(np.asarray(ys, dtype=np.int64))
     if np.any((x1 == 0) & (x2 == 0)):
         raise DomainError("kernel remainder is singular at x = 0")
-    table = _remainder_table()
     hi, lo = np.maximum(x1, x2), np.minimum(x1, x2)
     out = np.zeros(hi.shape, dtype=np.float64)
-    near = hi < table.shape[0]
-    out[near] = table[hi[near], lo[near]]
+    if hi.size:
+        eps = _table.upto(int(hi.max()))
+        near = hi <= EXACT_RADIUS
+        out[near] = eps[hi[near], lo[near]]
     return out

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pacgreen import (DomainError, SingularityError,
                       bm_arc_measure, build_geometry, cauchy_interval_measure,
@@ -120,6 +122,23 @@ class TestGreenPacman:
         while pairs < 100:
             z = complex(rng.integers(-130, 131), rng.integers(-130, 131))
             w = complex(rng.integers(-130, 131), rng.integers(-130, 131))
+            if z == w or not (contains(g, z) and contains(g, w)):
+                continue
+            pairs += 1
+            u, v = map_to_halfdisk(g, z), map_to_halfdisk(g, w)
+            assert green_pacman(g, z, w) == pytest.approx(green_halfdisk(u, v),
+                                                          abs=1e-10)
+
+    @settings(max_examples=10, deadline=None)
+    @given(alpha=st.floats(0.0, PI), n=st.integers(8, 20),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_chain_vs_reflection_at_any_angle(self, alpha, n, seed):
+        g = build_geometry(alpha, n)
+        rng = np.random.default_rng(seed)
+        pairs = 0
+        while pairs < 20:
+            z, w = (complex(*rng.integers(-2 * n - 2, 2 * n + 3, size=2))
+                    for _ in range(2))
             if z == w or not (contains(g, z) and contains(g, w)):
                 continue
             pairs += 1

@@ -1,12 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pacgreen import (ConvergenceError, DomainError, WalkRunConfig,
                       build_geometry, build_lattice_domain, dirichlet_solve,
                       discrete_arc_measure, green_mc, green_solve,
                       green_via_potential, lattice_domain_from_sites)
+from pacgreen.domain import _BYTES_PER_CELL
 from pacgreen.green_discrete import (MAX_ITERATIONS, RESIDUAL_TOLERANCE,
                                      _box_preconditioner, _cg, _gauss_seidel,
                                      _system)
@@ -162,6 +166,14 @@ class TestDirichlet:
         m = discrete_arc_measure(d, (0, 0))
         assert np.max(np.abs(m.probabilities - per_arc)) <= 1e-8
 
+    @settings(max_examples=10, deadline=None)
+    @given(alpha=st.floats(0.0, PI), n=st.integers(8, 20))
+    def test_arc_measure_sums_to_one_at_any_angle(self, alpha, n):
+        m = discrete_arc_measure(build_lattice_domain(build_geometry(alpha, n)),
+                                 (0, 0))
+        assert np.all(m.probabilities >= 0)
+        assert m.total == pytest.approx(1.0, abs=1e-8)
+
     def test_bad_boundary_data(self, pacman16):
         with pytest.raises(DomainError):
             dirichlet_solve(pacman16, np.zeros(3))
@@ -209,6 +221,29 @@ class TestGreenViaPotential:
         F1 = green_solve(d, (0, 0))
         F2 = green_via_potential(d, (0, 0))
         assert np.max(np.abs(F1.values - F2.values)) <= 1e-6
+
+    @settings(max_examples=10, deadline=None)
+    @given(alpha=st.floats(0.0, PI), n=st.integers(8, 20))
+    def test_matches_green_solve_at_any_angle(self, alpha, n):
+        # criterion 1's tolerance
+        d = build_lattice_domain(build_geometry(alpha, n))
+        F1 = green_solve(d, (0, 0))
+        F2 = green_via_potential(d, (0, 0))
+        assert np.max(np.abs(F1.values - F2.values)) <= 1e-5
+
+    @pytest.mark.parametrize("alpha", [0.0, PI])
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_memory_within_guard(self, alpha, n):
+        # the lattice build's memory guard budgets _BYTES_PER_CELL per grid
+        # cell; the representation, kernel included, stays inside it
+        d = build_lattice_domain(build_geometry(alpha, n))
+        tracemalloc.start()
+        try:
+            green_via_potential(d, (0, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= _BYTES_PER_CELL * (4 * n + 3) ** 2
 
 
 class TestMonteCarloEquivalence:

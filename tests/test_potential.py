@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from pacgreen import (DomainError, EULER_GAMMA, K0, PotentialKernelConfig,
+from pacgreen import (DomainError, EULER_GAMMA, K0, build_geometry,
+                      build_lattice_domain, green_via_potential,
                       potential_asymptotic, potential_exact)
-from pacgreen.potential import (kernel_remainder, potential,
+from pacgreen import potential as kernel
+from pacgreen.potential import (EXACT_RADIUS, kernel_remainder,
                                 potential_exact_many, potential_many,
                                 potential_tensor)
 
@@ -112,13 +114,18 @@ class TestKernelRemainder:
         assert eps == pytest.approx(expected * 2, abs=1e-9)
 
     def test_matches_policy(self):
-        # exact inside the cutoff radius 50, zero beyond it
-        xs = np.array([3, -7, 12, 49, 35, 36, 50, 51, 200])
-        ys = np.array([40, 2, -31, 9, -35, 36, 1, 0, 3])
+        # exact inside radius 200, zero beyond it
+        xs = np.array([3, -7, 12, 49, 35, 51, -120, 150, 141, 142, 0, 200,
+                       201, 250])
+        ys = np.array([40, 2, -31, 9, -35, 0, 97, -60, 141, 142, -199, 1, 0,
+                       3])
         r = np.hypot(xs, ys)
-        expected = np.where(r <= 50, potential_many(xs, ys)
+        expected = np.where(r <= 200, potential_exact_many(xs, ys)
                             - (2 / math.pi) * np.log(r) - K0, 0.0)
-        assert kernel_remainder(xs, ys) == pytest.approx(expected, abs=1e-12)
+        eps = kernel_remainder(xs, ys)
+        assert eps == pytest.approx(expected, abs=1e-12)
+        # between radius 50 and 200 eps is small but not 0
+        assert np.all(eps[(r > 50) & (r <= 200)] != 0.0)
 
     def test_origin_raises(self):
         with pytest.raises(DomainError):
@@ -127,23 +134,40 @@ class TestKernelRemainder:
 
 class TestPolicy:
     def test_origin(self):
-        assert potential((0, 0)) == 0.0
+        assert potential_many([0], [0])[0] == 0.0
 
     def test_continuity_across_cutoff(self):
-        cfg = PotentialKernelConfig()
-        cut = cfg.asymptotic_cutoff_radius
-        lo = potential((int(cut) - 1, 0), cfg)
-        hi = potential((int(cut) + 1, 0), cfg)
-        band = (2 / math.pi) * math.log((cut + 1) / (cut - 1)) + 2e-3
-        assert abs(hi - lo) <= band
+        lo, at, hi = potential_many([EXACT_RADIUS - 1, EXACT_RADIUS,
+                                     EXACT_RADIUS + 1], [0, 0, 0])
+        # exact up to the radius, asymptotic past it: the switch moves a
+        # by |eps| there, about 1.4e-6
+        assert at == pytest.approx(potential_exact((EXACT_RADIUS, 0)), abs=1e-12)
+        assert hi == pytest.approx(potential_exact((EXACT_RADIUS + 1, 0)), abs=2e-6)
+        assert lo < at < hi
 
     def test_negation_symmetry(self):
-        for pt in ((3, 4), (60, 11), (0, 7)):
-            assert potential(pt) == potential((-pt[0], -pt[1]))
+        xs = np.array([3, 60, 0, 150, 250])
+        ys = np.array([4, 11, 7, -90, 1])
+        assert np.array_equal(potential_many(xs, ys), potential_many(-xs, -ys))
+        assert np.array_equal(potential_many(xs, ys), potential_many(ys, xs))
 
-    def test_config_validation(self):
-        with pytest.raises(DomainError):
-            PotentialKernelConfig(asymptotic_cutoff_radius=10)
+
+class TestTable:
+    def test_grows_lazily_up_to_the_exact_radius(self, monkeypatch):
+        monkeypatch.setattr(kernel, "_table", kernel._RemainderTable())
+        green_via_potential(build_lattice_domain(build_geometry(math.pi, 8)),
+                            (0, 0))
+        assert 0 < kernel._table.rows - 1 < EXACT_RADIUS
+        potential_many([250], [0])
+        assert kernel._table.rows - 1 == EXACT_RADIUS
+
+    def test_growth_keeps_values(self, monkeypatch):
+        xs, ys = np.array([1, 5, 17, -30, 90]), np.array([0, -3, 17, 2, 44])
+        full = kernel_remainder(xs, ys)
+        monkeypatch.setattr(kernel, "_table", kernel._RemainderTable())
+        for i in range(1, len(xs) + 1):      # each call grows the table
+            grown = kernel_remainder(xs[:i], ys[:i])
+        assert np.array_equal(grown, full)
 
 
 def test_package_attribute_is_the_module():
