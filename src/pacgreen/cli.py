@@ -18,6 +18,7 @@ import sys
 import tempfile
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
+from functools import partial
 
 import numpy as np
 
@@ -99,18 +100,12 @@ def _parse_point(text: str):
         raise argparse.ArgumentTypeError(f"bad lattice point {text!r}") from exc
 
 
-def _parse_floats(text: str):
+def _parse_list(kind, text: str):
     try:
-        return tuple(float(p) for p in text.split(","))
+        return tuple(kind(p) for p in text.split(","))
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad float list {text!r}") from exc
-
-
-def _parse_ints(text: str):
-    try:
-        return tuple(int(p) for p in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad int list {text!r}") from exc
+        raise argparse.ArgumentTypeError(
+            f"bad {kind.__name__} list {text!r}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -140,8 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("rate", help="convergence-rate sweep and log-log fit")
-    p.add_argument("--alphas", type=_parse_floats, required=True)
-    p.add_argument("--ns", type=_parse_ints, required=True)
+    p.add_argument("--alphas", type=partial(_parse_list, float), required=True)
+    p.add_argument("--ns", type=partial(_parse_list, int), required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--plot")
@@ -206,7 +201,7 @@ def _cmd_arcs(args) -> int:
               "mode": args.mode}
     if args.mode == "walk":
         if args.trials is None or args.seed is None:
-            raise UsageError("--trials and --seed are required with --mode walk")
+            raise DomainError("--trials and --seed are required with --mode walk")
         params.update(trials=args.trials, seed=args.seed)
         manifest = RunManifest("arcs", params, args.seed, __version__, _now())
         d = build_lattice_domain(g)
@@ -227,7 +222,7 @@ def _cmd_arcs(args) -> int:
 
 def _cmd_rate(args) -> int:
     if len(args.ns) < 3:
-        raise UsageError("--ns needs at least 3 scales for the fit")
+        raise DomainError("--ns needs at least 3 scales for the fit")
     cfg = ExperimentConfig(alphas=args.alphas, ns=args.ns)
     manifest = RunManifest("rate", {"alphas": list(args.alphas),
                                     "ns": list(args.ns)},
@@ -273,10 +268,6 @@ def _cmd_expdiff(args) -> int:
     manifest.add_output(args.out)
     manifest.write(args.out)
     return 0
-
-
-class UsageError(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +342,6 @@ def dispatch(argv) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         return _COMMANDS[args.subcommand](args)
-    except UsageError as exc:
-        sys.stderr.write(f"usage error: {exc}\n")
-        return USAGE_ERROR
     except DomainError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return USAGE_ERROR

@@ -31,9 +31,10 @@ from .errors import DomainError
 TIP_GUARD = 1e-9
 
 # Peak bytes per cell of the (4n + 3)^2 grid for a lattice build followed by
-# a Green's solve, by tracemalloc: 262.3 at n = 128 and 264.0 at n = 256 for
-# alpha = 0, the largest domain (139.0 at alpha = pi), plus 1 for the walk
-# engine's level grid.
+# a Green's solve, by tracemalloc: 232.0 at n = 128 and 233.5 at n = 256 for
+# alpha = 0, the largest domain (119.9 at alpha = pi), plus 1 for the walk
+# engine's level grid.  Over the build, the solve and the level grid,
+# resident memory grows by 253 bytes per cell at n = 128 and 256 at n = 256.
 _BYTES_PER_CELL = 270
 
 
@@ -170,15 +171,20 @@ class LatticeDomain:
     Sites are stored in z-frame coordinates, ordered row-major by y then x
     so that solver iterations are reproducible.  Boundary sites are the
     non-interior lattice points one step from an interior point.
+
+    ``grid`` is the site grid: a flattened w-frame array whose cell
+    holds the index i of an interior site (0 <= i < M), M + j for boundary
+    site j, or -1.  A step in x moves ``stride`` cells, a step in y one
+    cell; ``flat`` and ``unflat`` convert between z-frame sites and cells.
     """
 
     geometry: PacmanGeometry
     interior: np.ndarray        # (M, 2) int64
     boundary: np.ndarray        # (B, 2) int64
     boundary_arc: np.ndarray    # (B,) int64 in 1..N
-    _interior_grid: np.ndarray = field(repr=False)   # dense w-frame index grid
-    _boundary_grid: np.ndarray = field(repr=False)
-    _offset: int = field(repr=False)
+    grid: np.ndarray = field(repr=False)    # flat int64 site grid
+    stride: int = field(repr=False)
+    _origin: tuple[int, int] = field(repr=False)   # (row, column) of z = 0
 
     @property
     def interior_count(self) -> int:
@@ -188,17 +194,31 @@ class LatticeDomain:
     def boundary_count(self) -> int:
         return self.boundary.shape[0]
 
-    def _grid_lookup(self, grid: np.ndarray, z) -> int:
+    def flat(self, points):
+        """Cell index of z-frame sites on the grid (last axis x, y)."""
+        p = np.asarray(points)
+        return ((p[..., 0] + self._origin[0]) * self.stride
+                + p[..., 1] + self._origin[1])
+
+    def unflat(self, cells):
+        """z-frame sites of cell indices, as int64 (..., 2)."""
+        row, col = np.divmod(np.asarray(cells), self.stride)
+        return np.stack([row - self._origin[0], col - self._origin[1]],
+                        axis=-1)
+
+    def _cell(self, z) -> int:
         c = _as_complex(z)
-        wx = int(c.real) + self.geometry.z0[0] + self._offset
-        wy = int(c.imag) + self.geometry.z0[1] + self._offset
-        if not (0 <= wx < grid.shape[0] and 0 <= wy < grid.shape[1]):
+        row = int(c.real) + self._origin[0]
+        col = int(c.imag) + self._origin[1]
+        if not (0 <= row < self.grid.size // self.stride
+                and 0 <= col < self.stride):
             return -1
-        return int(grid[wx, wy])
+        return int(self.grid[row * self.stride + col])
 
     def interior_index(self, z) -> int:
         """Dense index of an interior site, or -1."""
-        return self._grid_lookup(self._interior_grid, z)
+        i = self._cell(z)
+        return i if i < self.interior_count else -1
 
     def require_interior(self, z) -> int:
         """Dense index of an interior site; DomainError for any other point."""
@@ -209,7 +229,8 @@ class LatticeDomain:
 
     def boundary_index(self, z) -> int:
         """Dense index of a boundary site, or -1."""
-        return self._grid_lookup(self._boundary_grid, z)
+        i = self._cell(z)
+        return i - self.interior_count if i >= self.interior_count else -1
 
 
 def _from_mask(g: PacmanGeometry, interior: np.ndarray, off: int) -> LatticeDomain:
@@ -225,20 +246,21 @@ def _from_mask(g: PacmanGeometry, interior: np.ndarray, off: int) -> LatticeDoma
     near[:, 1:] |= interior[:, :-1]
     near[:, :-1] |= interior[:, 1:]
     boundary = near & ~interior
+    grid = np.full(interior.shape, -1, dtype=np.int64)
 
-    def sites(mask):
+    def sites(mask, first):
         # argwhere on the transposed mask yields (y, x) lexicographic order
         wy, wx = (np.argwhere(mask.T) - off).T
-        grid = np.full(mask.shape, -1, dtype=np.int64)
-        grid[wx + off, wy + off] = np.arange(wx.size)
-        return np.stack([wx - g.z0[0], wy - g.z0[1]], axis=1), grid, wx, wy
+        grid[wx + off, wy + off] = first + np.arange(wx.size)
+        return np.stack([wx - g.z0[0], wy - g.z0[1]], axis=1), wx, wy
 
-    int_coords, int_grid, _, _ = sites(interior)
-    bnd_coords, bnd_grid, bwx, bwy = sites(boundary)
+    int_coords, _, _ = sites(interior, 0)
+    bnd_coords, bwx, bwy = sites(boundary, len(int_coords))
     arcs = arc_index_of_radius(g, np.hypot(bwx, bwy))
     return LatticeDomain(geometry=g, interior=int_coords, boundary=bnd_coords,
-                         boundary_arc=arcs, _interior_grid=int_grid,
-                         _boundary_grid=bnd_grid, _offset=off)
+                         boundary_arc=arcs, grid=grid.ravel(),
+                         stride=grid.shape[1],
+                         _origin=(off + g.z0[0], off + g.z0[1]))
 
 
 def lattice_domain_from_sites(g: PacmanGeometry, interior_sites) -> LatticeDomain:

@@ -31,7 +31,7 @@ from .errors import DomainError, FitError
 from .green_continuous import bm_arc_measure, green_pacman_many
 from .green_discrete import ScalarField, green_solve
 from .potential import kernel_remainder
-from .walk_mc import WalkRunConfig, sample_exits, trial_rng
+from .walk_mc import WalkRunConfig, mean_stderr, sample_exits, trial_rng
 
 _BM_STREAM = 1 << 48   # keeps the exit-radius sampler off the walk streams
 
@@ -188,7 +188,7 @@ def expdiff_estimate(g: PacmanGeometry, x, y,
     Returns (estimate, standard error).
     """
     yc = _as_complex(y)
-    xc = complex(x[0], x[1])
+    xc = _as_complex(x)
     limit = 10.0 * math.log(g.n)
     dist, _ = nearest_boundary(g, xc)
     if dist > limit:
@@ -199,7 +199,7 @@ def expdiff_estimate(g: PacmanGeometry, x, y,
         raise DomainError("x and y must be interior")
 
     d = build_lattice_domain(g)
-    exits = sample_exits(d, (int(x[0]), int(x[1])), walk_cfg)
+    exits = sample_exits(d, (int(xc.real), int(xc.imag)), walk_cfg)
     s_radii = np.hypot(exits[:, 0], exits[:, 1])
 
     probs = bm_arc_measure(g, yc).probabilities
@@ -213,6 +213,4 @@ def expdiff_estimate(g: PacmanGeometry, x, y,
     rho = lo + rng.random(walk_cfg.trials) * (hi - lo)
     b_radii = np.abs(rho - g.z0_complex)
 
-    vals = np.abs(np.log(s_radii / b_radii))
-    se = float(vals.std(ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
-    return float(vals.mean()), se
+    return mean_stderr(np.abs(np.log(s_radii / b_radii)))

@@ -25,19 +25,11 @@ from .walk_mc import ArcMeasure
 
 
 def map_to_halfdisk(g: PacmanGeometry, z) -> complex:
-    """Power map ((z + z0)/2n)^{c_alpha}, argument taken in [0, 2 pi).
-
-    Scalar libm math, not ``_map_many``, whose numpy results differ in the
-    last bit: the rate experiment maps its source here.
-    """
+    """Power map ((z + z0)/2n)^{c_alpha}, argument taken in [0, 2 pi)."""
     w = _as_complex(z) + g.z0_complex
-    r = abs(w)
-    if r <= TIP_GUARD:
+    if abs(w) <= TIP_GUARD:
         raise DomainError("point coincides with the re-entrant tip")
-    theta = math.atan2(w.imag, w.real) % (2.0 * math.pi)
-    c = g.c_alpha
-    return (r / g.radius) ** c * complex(math.cos(c * theta),
-                                         math.sin(c * theta))
+    return complex(_map_many(g, np.complex128(w)))
 
 
 def _map_many(g: PacmanGeometry, w: np.ndarray) -> np.ndarray:
@@ -47,12 +39,21 @@ def _map_many(g: PacmanGeometry, w: np.ndarray) -> np.ndarray:
     return (np.abs(w) / g.radius) ** c * np.exp(1j * c * theta)
 
 
-def halfdisk_to_halfplane(u) -> complex:
-    """Joukowski-type map -(u + 1/u): upper half-disk onto upper half-plane."""
-    u = complex(u)
-    if abs(u) <= TIP_GUARD:
+def halfdisk_to_halfplane(u):
+    """Joukowski-type map -(u + 1/u): upper half-disk onto upper half-plane.
+
+    Elementwise on arrays; a complex in, a complex out.
+    """
+    u = np.asarray(u, dtype=np.complex128)
+    if np.any(np.abs(u) <= TIP_GUARD):
         raise DomainError("map is singular at u = 0")
-    return -(u + 1.0 / u)
+    q = -(u + 1.0 / u)
+    return complex(q) if q.ndim == 0 else q
+
+
+def _halfplane_green(a, b):
+    """log|a - conj(b)| - log|a - b|, elementwise."""
+    return np.log(np.abs(a - np.conj(b))) - np.log(np.abs(a - b))
 
 
 def green_halfplane(a, b) -> float:
@@ -62,7 +63,7 @@ def green_halfplane(a, b) -> float:
         raise DomainError("both points must have positive imaginary part")
     if a == b:
         raise SingularityError("Green's function diverges on the diagonal")
-    return math.log(abs(a - b.conjugate())) - math.log(abs(a - b))
+    return float(_halfplane_green(a, b))
 
 
 def green_halfdisk(u, v) -> float:
@@ -98,9 +99,8 @@ def green_pacman_many(g: PacmanGeometry, z, w_arr: np.ndarray) -> np.ndarray:
     tip themselves.
     """
     p = _to_halfplane(g, _as_complex(z))
-    u = _map_many(g, np.asarray(w_arr) + g.z0_complex)
-    q = -(u + 1.0 / u)
-    return np.log(np.abs(p - np.conj(q))) - np.log(np.abs(p - q))
+    q = halfdisk_to_halfplane(_map_many(g, np.asarray(w_arr) + g.z0_complex))
+    return _halfplane_green(p, q)
 
 
 def cauchy_interval_measure(p, lo: float, hi: float) -> float:

@@ -50,29 +50,24 @@ def _system(d: LatticeDomain):
     cached = getattr(d, "_system_cache", None)
     if cached is not None:
         return cached
-    g = d.geometry
     M = d.interior_count
-    off = d._offset
-    wx = d.interior[:, 0] + g.z0[0] + off
-    wy = d.interior[:, 1] + g.z0[1] + off
-    int_rows, int_cols, bnd_rows, bnd_cols = [], [], [], []
-    for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        j = d._interior_grid[wx + dx, wy + dy]
+    p = d.flat(d.interior)
+    rows, cols = [], []
+    for step in (d.stride, -d.stride, 1, -1):
+        j = d.grid[p + step]
         ok = j >= 0
-        int_rows.append(np.nonzero(ok)[0])
-        int_cols.append(j[ok])
-        jb = d._boundary_grid[wx + dx, wy + dy]
-        okb = jb >= 0
-        bnd_rows.append(np.nonzero(okb)[0])
-        bnd_cols.append(jb[okb])
-    rows = np.concatenate(int_rows)
-    cols = np.concatenate(int_cols)
+        rows.append(np.nonzero(ok)[0])
+        cols.append(j[ok])
+    rows = np.concatenate(rows)
+    cols = np.concatenate(cols)
+    inner = cols < M
     A = sp.identity(M, format="csr") - sp.csr_matrix(
-        (np.full(rows.shape, 0.25), (rows, cols)), shape=(M, M))
-    rows = np.concatenate(bnd_rows)
-    cols = np.concatenate(bnd_cols)
-    B = sp.csr_matrix((np.full(rows.shape, 0.25), (rows, cols)),
-                      shape=(M, d.boundary_count))
+        (np.full(np.count_nonzero(inner), 0.25), (rows[inner], cols[inner])),
+        shape=(M, M))
+    outer = ~inner
+    B = sp.csr_matrix(
+        (np.full(np.count_nonzero(outer), 0.25), (rows[outer], cols[outer] - M)),
+        shape=(M, d.boundary_count))
     d._system_cache = (A, B)
     return A, B
 
@@ -197,15 +192,11 @@ def discrete_arc_measure(d: LatticeDomain, x) -> ArcMeasure:
     (I - P) is symmetric, so the harmonic extension of boundary data h
     evaluated at x is G(., x) . (B h): one Green's solve gives the weight
     (B^T G(., x))_b of every boundary site b, and summing over each arc
-    gives the row.  It is nonnegative and sums to 1 up to solver tolerance.
+    gives the row.  It is nonnegative and sums to 1 up to solver tolerance
+    (``walk_mc.ARC_TOLERANCE``).
     """
     _, B = _system(d)
     G = green_solve(d, x).values
     p = np.bincount(d.boundary_arc - 1, weights=B.T @ G,
                     minlength=d.geometry.N)
-    p = np.clip(p, 0.0, 1.0)
-    total = p.sum()
-    if 1.0 < total <= 1.0 + 1e-6:
-        # solver roundoff can push the row sum a hair over 1
-        p = p / total
     return ArcMeasure(probabilities=p)

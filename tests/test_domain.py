@@ -192,12 +192,39 @@ class TestLatticeDomain:
         g = build_geometry(alpha, 16)
         d = build_lattice_domain(g)
         e = lattice_domain_from_sites(g, d.interior)
-        for name in ("interior", "boundary", "boundary_arc",
-                     "_interior_grid", "_boundary_grid"):
+        for name in ("interior", "boundary", "boundary_arc", "grid"):
             a, b = getattr(d, name), getattr(e, name)
             assert a.dtype == b.dtype
             assert np.array_equal(a, b), name
-        assert e._offset == d._offset
+        assert (e.stride, e._origin) == (d.stride, d._origin)
+
+
+def assert_site_grid(d):
+    """The one site grid against the site arrays and the scalar lookups."""
+    M, B = d.interior_count, d.boundary_count
+    cells = np.arange(d.grid.size)
+    assert np.array_equal(d.flat(d.unflat(cells)), cells)
+    for sites in (d.interior, d.boundary):
+        assert np.array_equal(d.unflat(d.flat(sites)), sites)
+    # each id once: at its site, and nowhere else
+    assert np.array_equal(d.grid[d.flat(d.interior)], np.arange(M))
+    assert np.array_equal(d.grid[d.flat(d.boundary)], M + np.arange(B))
+    assert np.count_nonzero(d.grid >= 0) == M + B
+    for site, v in zip(d.unflat(cells), d.grid):
+        assert d.interior_index(site) == (v if 0 <= v < M else -1)
+        assert d.boundary_index(site) == (v - M if v >= M else -1)
+
+
+class TestSiteGrid:
+    @settings(max_examples=10, deadline=None)
+    @given(alpha=st.floats(0.0, PI), n=st.integers(8, 20))
+    def test_layout_at_any_angle(self, alpha, n):
+        assert_site_grid(build_lattice_domain(build_geometry(alpha, n)))
+
+    def test_layout_of_plus_shape(self):
+        d = lattice_domain_from_sites(
+            build_geometry(PI, 8), [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)])
+        assert_site_grid(d)
 
 
 class TestMemoryGuard:

@@ -101,6 +101,12 @@ class TestExpdiff:
         with pytest.raises(DomainError):
             expdiff_estimate(g, zx, far, cfg)        # |x - y| too large
 
+    def test_x_takes_the_point_forms_y_takes(self):
+        g = build_geometry(PI, 64)
+        cfg = WalkRunConfig(trials=50, seed=3)
+        assert (expdiff_estimate(g, 26 - 60j, (26, -60), cfg)
+                == expdiff_estimate(g, (26, -60), 26 - 60j, cfg))
+
     def test_same_arc_concentration_scale(self):
         # both starts near bucket 2: the estimate is a few bucket-widths
         # over an O(n) radius, i.e. O(log^2 n / n)

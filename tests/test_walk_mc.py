@@ -19,22 +19,12 @@ from pacgreen.walk_mc import (_jump_tables, _jump_walk, _simulate,
 PI = math.pi
 
 
-def flat_index(d, z):
-    """Index of a z-frame site in the jump engine's flattened grids."""
-    W = d._interior_grid.shape[1]
-    return ((z[0] + d.geometry.z0[0] + d._offset) * W
-            + z[1] + d.geometry.z0[1] + d._offset)
-
-
 def jump_kernel(d):
     """The engine's jump kernel, read from its tables, as a sparse matrix
     from interior sites to interior sites then boundary sites."""
-    levels, W, laws = _jump_tables(d)
+    levels, _, laws = _jump_tables(d)
     M = d.interior_count
-    ig = d._interior_grid.ravel()
-    bg = d._boundary_grid.ravel()
-    column = np.where(ig >= 0, ig, np.where(bg >= 0, M + bg, -1))
-    P = flat_index(d, d.interior.T)
+    P = d.flat(d.interior)
     code = np.frombuffer(levels, dtype=np.uint8)[P]
     rows, cols, vals = [], [], []
     for c in np.unique(code):
@@ -43,7 +33,7 @@ def jump_kernel(d):
         i = np.nonzero(code == c)[0]
         targets = P[i][:, None] + np.ravel(offs)[None, :]
         rows.append(np.repeat(i, targets.shape[1]))
-        cols.append(column[targets].ravel())
+        cols.append(d.grid[targets].ravel())
         vals.append(np.tile(side, 4 * i.size))
     cols = np.concatenate(cols)
     assert np.all(cols >= 0), "a jump lands off the interior and boundary"
@@ -93,6 +83,18 @@ class TestSimulateExit:
             exit_site, _, _ = simulate_exit(pacman16, (0, 0), trial_rng(4, trial))
             assert pacman16.boundary_index(exit_site) >= 0
             assert pacman16.interior_index(exit_site) < 0
+
+    def test_exit_law_matches_solver(self, plus_domain):
+        # the stepwise reference against the exact law B^T G per boundary site
+        d = plus_domain
+        exact = _system(d)[1].T @ green_solve(d, (0, 0)).values
+        trials = 4000
+        counts = np.zeros(d.boundary_count)
+        for t in range(trials):
+            exit_site, _, _ = simulate_exit(d, (0, 0), trial_rng(12, t))
+            counts[d.boundary_index(exit_site)] += 1
+        se = np.sqrt(exact * (1 - exact) / trials)
+        assert np.all(np.abs(counts / trials - exact) <= 4 * se)
 
     def test_deterministic_per_stream(self, pacman16):
         a = simulate_exit(pacman16, (0, 0), trial_rng(7, 3))
@@ -179,7 +181,7 @@ class TestJumpEngine:
         d = lattice_domain_from_sites(
             g, [(x, y) for x in range(-h, h + 1) for y in range(-h, h + 1)])
         levels, _, _ = _jump_tables(d)
-        assert _square_radius(levels[flat_index(d, (0, 0))]) == h
+        assert _square_radius(levels[d.flat((0, 0))]) == h
         row = jump_kernel(d)[d.interior_index((0, 0))].toarray().ravel()
         G_solve = green_solve(d, (0, 0)).values
         exact = _system(d)[1].T @ G_solve
@@ -191,7 +193,8 @@ class TestJumpEngine:
     @pytest.mark.parametrize("n", [8, 33, 64])
     def test_levels_follow_the_chessboard_distance(self, alpha, n):
         d = build_lattice_domain(build_geometry(alpha, n))
-        interior = d._interior_grid >= 0
+        interior = ((d.grid >= 0) & (d.grid < d.interior_count)).reshape(
+            -1, d.stride)
         levels = np.frombuffer(_jump_tables(d)[0], dtype=np.uint8)
         # largest interior square radius h, rounded down to a power of two
         h = distance_transform_cdt(interior, metric="chessboard") - 1
@@ -200,7 +203,7 @@ class TestJumpEngine:
 
     def test_budget_exhaustion(self, pacman16):
         with pytest.raises(StepBudgetError):
-            _jump_walk(_jump_tables(pacman16), flat_index(pacman16, (0, 0)), -1,
+            _jump_walk(_jump_tables(pacman16), int(pacman16.flat((0, 0))), -1,
                        trial_rng(1, 0), 1)
 
     def test_mean_exit_steps_vs_solver(self):
