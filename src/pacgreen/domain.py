@@ -227,6 +227,12 @@ class LatticeDomain:
             raise DomainError(f"{z} is not an interior site")
         return i
 
+    def interior_site(self, z) -> np.ndarray:
+        """The interior site z names, as a row of ``interior``, for every
+        point form ``require_interior`` takes; DomainError for any other
+        point."""
+        return self.interior[self.require_interior(z)]
+
     def boundary_index(self, z) -> int:
         """Dense index of a boundary site, or -1."""
         i = self._cell(z)

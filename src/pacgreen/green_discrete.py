@@ -178,8 +178,7 @@ def green_via_potential(d: LatticeDomain, w) -> ScalarField:
     kernel evaluation error (the asymptotic form beyond
     ``potential.EXACT_RADIUS``).
     """
-    d.require_interior(w)
-    wx, wy = int(w[0]), int(w[1])
+    wx, wy = d.interior_site(w)
     h = potential_many(d.boundary[:, 0] - wx, d.boundary[:, 1] - wy)
     ext = dirichlet_solve(d, h)
     a_int = potential_many(d.interior[:, 0] - wx, d.interior[:, 1] - wy)

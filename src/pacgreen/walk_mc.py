@@ -2,7 +2,7 @@
 
 Each trial consumes its own counter-based Philox stream keyed by
 (seed, trial index), so trials are reproducible individually and the
-aggregate does not depend on execution order.
+aggregate does not depend on execution order or on the trial count.
 
 Trials run on squares (Muller, Ann. Math. Stat. 1956), exactly on the
 lattice: from an interior site whose l-infinity ball of radius r >= 0 is
@@ -12,13 +12,19 @@ stops at has the square's exit law from its centre, G_box / 4 on the
 row next to each side, so one draw replaces the whole sojourn.  Visit
 counts and exit times are Rao-Blackwellized: each sojourn adds its
 expectation, G_box(centre, w) or sum(G_box), in place of its realisation.
-``simulate_exit`` keeps the stepwise walk as the reference.
+
+All trials of a run jump in lockstep, one round per jump.  Uniform j of
+trial i is word j mod 4 of the Philox4x64-10 block (Salmon et al., SC'11)
+with key (seed, i) and counter j // 4 + 1, so one numpy evaluation of the
+block function every fourth round serves every trial still inside, and
+each trial draws bit for bit the doubles ``trial_rng(seed, i).random()``
+gives.  ``simulate_exit`` keeps the stepwise walk as the reference.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -31,7 +37,6 @@ from .errors import DomainError, StepBudgetError
 _MASK64 = (1 << 64) - 1
 _CHUNK0 = 1024
 _CHUNK_MAX = 32768
-_UNIFORMS = 32      # uniforms a jump walk draws from its stream at a time
 
 # How far an arc law may stray from [0, 1] and from total mass 1.  The
 # discrete law comes from a solve stopped at max-norm residual 1e-10: its
@@ -81,6 +86,54 @@ def trial_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+# Philox4x64-10 (Salmon et al., SC'11): multipliers and key increments
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LOW32 = 0xFFFFFFFF
+
+
+def _mulhilo(a, m):
+    """High and low words of a * m, for a uint64 array a and a constant m.
+
+    numpy has no 128-bit product, so the high word is summed from 32-bit
+    halves; the low word is the product mod 2^64.
+    """
+    a0, a1 = a & _LOW32, a >> 32
+    m0, m1 = m & _LOW32, m >> 32
+    p00, p01, p10 = a0 * m0, a0 * m1, a1 * m0
+    mid = (p00 >> 32) + (p01 & _LOW32) + (p10 & _LOW32)
+    return a1 * m1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32), a * m
+
+
+def _philox(c0, k0, k1):
+    """Philox4x64-10 blocks for counters (c0, 0, 0, 0) and keys (k0, k1).
+
+    Arguments are uint64 arrays that broadcast together (never numpy
+    scalars, whose overflow warns); returns the four words of each block.
+    """
+    x0, x1, x2, x3 = c0, 0, np.zeros_like(c0), 0
+    for rnd in range(10):
+        if rnd:
+            k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+        hi0, lo0 = _mulhilo(x0, _PHILOX_M[0])
+        hi1, lo1 = _mulhilo(x2, _PHILOX_M[1])
+        x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
+    return x0, x1, x2, x3
+
+
+def _uniforms(seed, streams, block):
+    """Doubles 4 block .. 4 block + 3 of the streams ``trial_rng(seed, s)``
+    for s in ``streams``, as a (4, len(streams)) array.
+
+    numpy's Philox starts at counter 0 and increments it before each
+    block, and a double is the top 53 bits of one word times 2^-53.
+    """
+    c0 = np.full(1, block + 1, dtype=np.uint64)
+    k0 = np.full(1, seed & _MASK64, dtype=np.uint64)
+    words = np.stack(_philox(c0, k0, streams.astype(np.uint64)))
+    return (words >> 11).astype(np.float64) * (1.0 / 9007199254740992.0)
+
+
 def mean_stderr(values: np.ndarray) -> tuple[float, float]:
     """Sample mean and its standard error (0 for a single value)."""
     n = len(values)
@@ -127,7 +180,7 @@ def simulate_exit(d: LatticeDomain, start, rng: np.random.Generator):
 
     Returns (exit site, visits to start including time 0, step count).
     """
-    d.require_interior(start)
+    start = d.interior_site(start)
     return _simulate(d, start, start, rng, _budget(d.geometry.n))
 
 
@@ -147,7 +200,8 @@ def _square_law(r: int):
     G.setflags(write=False)
     side = G[:, -1]           # 4 x the exit law through the wall x = r + 1
     cum = np.cumsum(side[:-1]) / side.sum()
-    return tuple(cum.tolist()), float(G.sum()), G
+    cum.setflags(write=False)
+    return cum, float(G.sum()), G
 
 
 def _erode(E, s):
@@ -171,13 +225,12 @@ def _square_radius(code: int) -> int:
 def _jump_tables(d: LatticeDomain):
     """Level grid and per-level jump laws of a domain, cached on it.
 
-    The level grid is indexed like the domain's site grid, one byte
-    a cell: 0 off the interior, and 1 + l at a site whose largest interior
-    square has radius r with 2^(l - 1) <= r < 2^l (l = 0 for r = 0).  It
-    comes from doubling erosions, E_1 = erode(E_0, 1) and
-    E_2r = erode(E_r, r).  Level code c jumps with square radius
-    ``_square_radius(c)``; its law is (flat offsets by side, cum, mean
-    time).
+    The level grid is a uint8 array indexed like the domain's site grid:
+    0 off the interior, and 1 + l at a site whose largest interior square
+    has radius r with 2^(l - 1) <= r < 2^l (l = 0 for r = 0).  It comes
+    from doubling erosions, E_1 = erode(E_0, 1) and E_2r = erode(E_r, r).
+    Level code c jumps with square radius ``_square_radius(c)``; its law
+    is (flat offsets, an int64 array indexed [side, site], cum, mean time).
     """
     cached = getattr(d, "_jump_cache", None)
     if cached is not None:
@@ -198,77 +251,69 @@ def _jump_tables(d: LatticeDomain):
     for c in range(1, int(code.max()) + 1):
         r = _square_radius(c)
         cum, mean_time, _ = _square_law(r)
-        t = range(-r, r + 1)
+        t = np.arange(-r, r + 1)
         a = r + 1
-        offs = ([a * W + j for j in t], [a - j * W for j in t],
-                [-a * W - j for j in t], [j * W - a for j in t])
+        offs = np.stack([a * W + t, a - t * W, -a * W - t, t * W - a])
         laws.append((offs, cum, mean_time))
-    d._jump_cache = (code.tobytes(), W, laws)
+    d._jump_cache = (code.ravel(), W, laws)
     return d._jump_cache
-
-
-def _jump_walk(tables, p, q, rng, budget):
-    """One walk on squares from flat grid index p until it leaves the interior.
-
-    Returns (flat exit index, Rao-Blackwellized visits to flat index q,
-    or 0 when q < 0, Rao-Blackwellized exit time, jumps).  One uniform u
-    per jump picks side floor(4u) and, by bisection at 4u - side, the
-    site on it.
-    """
-    levels, W, laws = tables
-    qx, qy = divmod(q, W)
-    visits = time = 0.0
-    drawn = jumps = 0
-    us = ()
-    while code := levels[p]:
-        # us holds uniforms drawn - len(us) .. drawn - 1 of the stream
-        if jumps == drawn:
-            if drawn == budget:
-                raise StepBudgetError(
-                    f"walk did not exit within {budget} jumps (configuration bug)")
-            us = rng.random(min(_UNIFORMS, budget - drawn)).tolist()
-            drawn += len(us)
-        u = 4.0 * us[jumps - drawn]
-        jumps += 1
-        offs, cum, mean_time = laws[code]
-        time += mean_time
-        if q >= 0:
-            r = _square_radius(code)
-            px, py = divmod(p, W)
-            dx, dy = qx - px + r, qy - py + r
-            if 0 <= dx <= 2 * r and 0 <= dy <= 2 * r:
-                visits += float(_square_law(r)[2][dy, dx])
-        side = int(u)
-        p += offs[side][bisect_right(cum, u - side)]
-    return p, visits, time, jumps
 
 
 def _run_trials(d: LatticeDomain, start, count_site, cfg: WalkRunConfig):
     """(exits, visits, exit times) arrays indexed by trial.
 
-    Visits to count_site (None counts nothing) and exit times are the
-    Rao-Blackwellized estimates of ``_jump_walk``.  Trial i draws only
-    from its own Philox stream (cfg.seed, i), so any prefix of trials
-    reproduces exactly under a larger trial count.
+    All trials walk on squares in lockstep: round j makes jump j of every
+    trial still inside.  Its uniform u is double j of the trial's Philox
+    stream (cfg.seed, i), the one ``trial_rng(cfg.seed, i).random()``
+    gives, so any prefix of trials reproduces exactly under a larger trial
+    count.  4u picks side floor(4u) and, by bisection at 4u - side, the
+    site on it.  Visits to count_site (None counts nothing) and exit times
+    are Rao-Blackwellized: each jump adds G_box(centre, count_site) and
+    the square's mean exit time, in jump order.
     """
-    tables = _jump_tables(d)
-    p0 = int(d.flat(start))
+    levels, W, laws = _jump_tables(d)
+    mean_time = np.array([0.0] + [law[2] for law in laws[1:]])
     q = -1 if count_site is None else int(d.flat(count_site))
+    qx, qy = divmod(q, W)
     budget = _budget(d.geometry.n)
-    ends = np.empty(cfg.trials, dtype=np.int64)
-    visits = np.empty(cfg.trials)
-    times = np.empty(cfg.trials)
-    for i in range(cfg.trials):
-        ends[i], visits[i], times[i], _ = _jump_walk(
-            tables, p0, q, trial_rng(cfg.seed, i), budget)
-    return d.unflat(ends), visits, times
+    p = np.full(cfg.trials, int(d.flat(start)), dtype=np.int64)
+    visits = np.zeros(cfg.trials)
+    times = np.zeros(cfg.trials)
+    live = np.arange(cfg.trials)        # the trials still inside
+    for j in itertools.count():
+        code = levels[p[live]]
+        inside = code != 0
+        live, code = live[inside], code[inside]
+        if not live.size:
+            return d.unflat(p), visits, times
+        if j == budget:
+            raise StepBudgetError(
+                f"walk did not exit within {budget} jumps (configuration bug)")
+        us = _uniforms(cfg.seed, live, j // 4) if j % 4 == 0 else us[:, inside]
+        u = 4.0 * us[j % 4]
+        side = u.astype(np.int64)
+        u -= side
+        times[live] += mean_time[code]
+        for c in range(1, len(laws)):
+            sel = code == c
+            if not sel.any():
+                continue
+            offs, cum, _ = laws[c]
+            at = live[sel]
+            pc = p[at]
+            if q >= 0:
+                r = _square_radius(c)
+                dx, dy = qx - pc // W + r, qy - pc % W + r
+                hit = (dx >= 0) & (dx <= 2 * r) & (dy >= 0) & (dy <= 2 * r)
+                visits[at[hit]] += _square_law(r)[2][dy[hit], dx[hit]]
+            k = np.searchsorted(cum, u[sel], side="right")
+            p[at] = pc + offs[side[sel], k]
 
 
 def walk_arc_measure(d: LatticeDomain, x, cfg: WalkRunConfig) -> ArcMeasure:
     """Empirical exit distribution over boundary arcs, from x."""
-    d.require_interior(x)
     g = d.geometry
-    exits, _, _ = _run_trials(d, x, None, cfg)
+    exits, _, _ = _run_trials(d, d.interior_site(x), None, cfg)
     radii = np.hypot(exits[:, 0] + g.z0[0], exits[:, 1] + g.z0[1])
     arcs = arc_index_of_radius(g, radii)
     counts = np.bincount(arcs - 1, minlength=g.N)
@@ -284,10 +329,8 @@ def green_mc(d: LatticeDomain, w, cfg: WalkRunConfig, start=None):
     Each square sojourn adds G_box(centre, w), its expected visits to w.
     Returns (mean estimate, standard error).  Default start is w.
     """
-    if start is None:
-        start = w
-    d.require_interior(start)
-    d.require_interior(w)
+    w = d.interior_site(w)
+    start = w if start is None else d.interior_site(start)
     _, visits, _ = _run_trials(d, start, w, cfg)
     return mean_stderr(visits)
 
@@ -297,13 +340,11 @@ def mean_exit_steps(d: LatticeDomain, x, cfg: WalkRunConfig):
 
     Each square sojourn adds sum(G_box), its expected length in steps.
     """
-    d.require_interior(x)
-    _, _, steps = _run_trials(d, x, None, cfg)
+    _, _, steps = _run_trials(d, d.interior_site(x), None, cfg)
     return mean_stderr(steps)
 
 
 def sample_exits(d: LatticeDomain, x, cfg: WalkRunConfig) -> np.ndarray:
     """Exit sites for every trial, as an (trials, 2) array of z-frame points."""
-    d.require_interior(x)
-    exits, _, _ = _run_trials(d, x, None, cfg)
+    exits, _, _ = _run_trials(d, d.interior_site(x), None, cfg)
     return exits

@@ -214,6 +214,13 @@ class TestGreenViaPotential:
         F2 = green_via_potential(pacman16, (4, -3))
         assert np.max(np.abs(F1.values - F2.values)) <= 1e-6
 
+    def test_point_forms_agree(self, pacman16):
+        expected = green_via_potential(pacman16, (4, -3)).values
+        row = pacman16.interior[pacman16.interior_index((4, -3))]
+        for w in (4 - 3j, row, np.array([4.0, -3.0])):
+            assert np.array_equal(green_via_potential(pacman16, w).values,
+                                  expected)
+
     @pytest.mark.parametrize("alpha", [PI / 4, 3 * PI / 4])
     def test_matches_green_solve_with_lattice_edge(self, alpha):
         # the theta = 2 pi - alpha edge runs through lattice points here

@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -12,9 +13,11 @@ from pacgreen import (ArcMeasure, DomainError, StepBudgetError, WalkRunConfig,
                       dirichlet_solve, discrete_arc_measure, green_mc,
                       green_solve, lattice_domain_from_sites, mean_exit_steps,
                       simulate_exit, trial_rng, walk_arc_measure)
+from pacgreen import walk_mc
 from pacgreen.green_discrete import _system
-from pacgreen.walk_mc import (_jump_tables, _jump_walk, _simulate,
-                              _square_law, _square_radius, sample_exits)
+from pacgreen.walk_mc import (_MASK64, _jump_tables, _philox, _run_trials,
+                              _simulate, _square_law, _square_radius,
+                              _uniforms, sample_exits)
 
 PI = math.pi
 
@@ -25,7 +28,7 @@ def jump_kernel(d):
     levels, _, laws = _jump_tables(d)
     M = d.interior_count
     P = d.flat(d.interior)
-    code = np.frombuffer(levels, dtype=np.uint8)[P]
+    code = levels[P]
     rows, cols, vals = [], [], []
     for c in np.unique(code):
         offs, cum, _ = laws[c]
@@ -51,6 +54,35 @@ def jump_defect(d):
         h = dirichlet_solve(d, hb).values
         worst = max(worst, float(np.max(np.abs(h - K @ np.concatenate([h, hb])))))
     return worst
+
+
+def replay(d, start, count_site, seed, trials):
+    """The walk on squares trial by trial, each from its own ``trial_rng``
+    stream, on the engine's tables: the reference ``_run_trials`` equals."""
+    levels, W, laws = _jump_tables(d)
+    q = None if count_site is None else int(d.flat(count_site))
+    rows = []
+    for i in range(trials):
+        rng, p, vis, tim = trial_rng(seed, i), int(d.flat(start)), 0.0, 0.0
+        while code := int(levels[p]):
+            offs, cum, mean_time = laws[code]
+            r = _square_radius(code)
+            u = 4.0 * rng.random()
+            tim += mean_time
+            if q is not None:
+                dx, dy = q // W - p // W + r, q % W - p % W + r
+                if 0 <= dx <= 2 * r and 0 <= dy <= 2 * r:
+                    vis += float(_square_law(r)[2][dy, dx])
+            side = int(u)
+            p += int(offs[side][bisect_right(cum, u - side)])
+        rows.append((p, vis, tim))
+    ends, visits, times = map(np.array, zip(*rows))
+    return d.unflat(ends), visits, times
+
+
+def same_bits(a, b):
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
 
 
 @pytest.fixture(scope="module")
@@ -126,10 +158,13 @@ class TestWalkArcMeasure:
 
     def test_trial_streams_replay_as_a_prefix(self, pacman16):
         # trial i draws only from stream (seed, i): a longer run repeats
-        # every exit of a shorter one
-        long = sample_exits(pacman16, (0, 0), WalkRunConfig(trials=600, seed=55))
-        short = sample_exits(pacman16, (0, 0), WalkRunConfig(trials=300, seed=55))
-        assert np.array_equal(long[:300], short)
+        # every exit, visit sum and exit time of a shorter one
+        long = _run_trials(pacman16, (3, -2), (0, 0),
+                           WalkRunConfig(trials=600, seed=55))
+        short = _run_trials(pacman16, (3, -2), (0, 0),
+                            WalkRunConfig(trials=300, seed=55))
+        for a, b in zip(long, short):
+            assert same_bits(a[:300], b)
 
     def test_matches_exact_harmonic_measure(self, pacman16):
         # exact-oracle check at module scale; the acceptance suite runs the
@@ -181,7 +216,7 @@ class TestJumpEngine:
         d = lattice_domain_from_sites(
             g, [(x, y) for x in range(-h, h + 1) for y in range(-h, h + 1)])
         levels, _, _ = _jump_tables(d)
-        assert _square_radius(levels[d.flat((0, 0))]) == h
+        assert _square_radius(int(levels[d.flat((0, 0))])) == h
         row = jump_kernel(d)[d.interior_index((0, 0))].toarray().ravel()
         G_solve = green_solve(d, (0, 0)).values
         exact = _system(d)[1].T @ G_solve
@@ -195,16 +230,35 @@ class TestJumpEngine:
         d = build_lattice_domain(build_geometry(alpha, n))
         interior = ((d.grid >= 0) & (d.grid < d.interior_count)).reshape(
             -1, d.stride)
-        levels = np.frombuffer(_jump_tables(d)[0], dtype=np.uint8)
+        levels = _jump_tables(d)[0]
         # largest interior square radius h, rounded down to a power of two
         h = distance_transform_cdt(interior, metric="chessboard") - 1
         expected = np.where(h > 0, np.floor(np.log2(np.maximum(h, 1))) + 2, 1)
         assert np.array_equal(levels, np.where(interior, expected, 0).ravel())
 
-    def test_budget_exhaustion(self, pacman16):
+    def test_budget_exhaustion(self, pacman16, single_domain, monkeypatch):
+        # one jump from the centre cannot leave the domain
+        monkeypatch.setattr(walk_mc, "_budget", lambda n: 1)
+        cfg = WalkRunConfig(trials=5, seed=1)
         with pytest.raises(StepBudgetError):
-            _jump_walk(_jump_tables(pacman16), int(pacman16.flat((0, 0))), -1,
-                       trial_rng(1, 0), 1)
+            _run_trials(pacman16, (0, 0), None, cfg)
+        # from a lone site every trial exits at its first jump: a budget of
+        # one jump is enough, and of none is not
+        _run_trials(single_domain, (0, 0), None, cfg)
+        monkeypatch.setattr(walk_mc, "_budget", lambda n: 0)
+        with pytest.raises(StepBudgetError):
+            _run_trials(single_domain, (0, 0), None, cfg)
+
+    @pytest.mark.parametrize("domain, start, count_site, seed", [
+        ("pacman16", (0, 0), None, 4), ("pacman16", (0, 0), (0, 0), -5),
+        ("pacman16", (9, -11), (2, 1), 2**64 - 1),
+        ("plus_domain", (0, 0), (0, 0), 77), ("plus_domain", (1, 0), (0, 0), 77)])
+    def test_lockstep_equals_scalar_replay(self, request, domain, start,
+                                           count_site, seed):
+        d = request.getfixturevalue(domain)
+        got = _run_trials(d, start, count_site, WalkRunConfig(400, seed))
+        for a, b in zip(got, replay(d, start, count_site, seed, 400)):
+            assert same_bits(a, b)
 
     def test_mean_exit_steps_vs_solver(self):
         # E_0[T] = sum_w G(0, w)
@@ -264,9 +318,48 @@ class TestArcMeasureType:
         m = ArcMeasure(probabilities=np.array([0.25, 0.75]))
         assert m.total == 1.0
 
+    @pytest.mark.parametrize("seed", [0, -5, 2**63 + 7, 2**64 - 1])
+    def test_block_function_is_numpy_philox(self, seed):
+        # 70 doubles cross the 4-word block and the old 32-draw chunk
+        streams = np.arange(300)
+        ours = np.concatenate([_uniforms(seed, streams, b) for b in range(18)])
+        words = np.stack(_philox(np.full(1, 1, dtype=np.uint64),
+                                 np.full(1, seed & _MASK64, dtype=np.uint64),
+                                 streams.astype(np.uint64)))
+        for i in range(300):
+            assert same_bits(ours[:70, i], trial_rng(seed, i).random(70))
+            raw = trial_rng(seed, i).bit_generator.random_raw(4)
+            assert same_bits(words[:, i], raw)
+
     def test_stream_separation(self):
         a = trial_rng(0, 1).integers(0, 4, size=32)
         b = trial_rng(0, 2).integers(0, 4, size=32)
         c = trial_rng(0, 1).integers(0, 4, size=32)
         assert np.array_equal(a, c)
         assert not np.array_equal(a, b)
+
+
+class TestPointForms:
+    """Every front end takes a site in each form ``require_interior`` does."""
+
+    FRONT_ENDS = {
+        "simulate_exit": lambda d, x: simulate_exit(d, x, trial_rng(3, 0)),
+        "green_mc": lambda d, x: green_mc(d, x, WalkRunConfig(50, 3)),
+        "green_mc_start": lambda d, x: green_mc(d, (1, 0), WalkRunConfig(50, 3),
+                                                start=x),
+        "mean_exit_steps": lambda d, x: mean_exit_steps(d, x,
+                                                        WalkRunConfig(50, 3)),
+        "walk_arc_measure": lambda d, x: walk_arc_measure(
+            d, x, WalkRunConfig(50, 3)).counts.tolist(),
+        "sample_exits": lambda d, x: sample_exits(
+            d, x, WalkRunConfig(50, 3)).tolist(),
+    }
+
+    @pytest.mark.parametrize("front_end", sorted(FRONT_ENDS))
+    def test_point_forms_agree(self, front_end):
+        d = build_lattice_domain(build_geometry(PI, 8))
+        run = self.FRONT_ENDS[front_end]
+        row = d.interior[d.interior_index((0, 0))]
+        expected = run(d, (0, 0))
+        for x in (0j, row, np.array([0.0, 0.0])):
+            assert run(d, x) == expected
