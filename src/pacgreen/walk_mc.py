@@ -13,12 +13,15 @@ row next to each side, so one draw replaces the whole sojourn.  Visit
 counts and exit times are Rao-Blackwellized: each sojourn adds its
 expectation, G_box(centre, w) or sum(G_box), in place of its realisation.
 
-All trials of a run jump in lockstep, one round per jump.  Uniform j of
-trial i is word j mod 4 of the Philox4x64-10 block (Salmon et al., SC'11)
-with key (seed, i) and counter j // 4 + 1, so one numpy evaluation of the
-block function every fourth round serves every trial still inside, and
-each trial draws bit for bit the doubles ``trial_rng(seed, i).random()``
-gives.  ``simulate_exit`` keeps the stepwise walk as the reference.
+All trials of a run jump in lockstep, one round per jump, so a round
+costs about ten numpy calls however many trials it moves.  Uniform j
+of trial i is word j mod 4 of the Philox4x64-10 block (Salmon et al.,
+SC'11) with key (seed, i) and counter j // 4 + 1, so one numpy evaluation
+of the block function fills the draws of every trial still inside for
+the next rounds, and each trial draws bit for bit the doubles
+``trial_rng(seed, i).random()`` gives.  The side and site of a jump are
+read off the draw's integer bits through one key table for all levels.
+``simulate_exit`` keeps the stepwise walk as the reference.
 """
 
 from __future__ import annotations
@@ -86,23 +89,20 @@ def trial_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-# Philox4x64-10 (Salmon et al., SC'11): multipliers and key increments
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-_LOW32 = 0xFFFFFFFF
+# Philox4x64-10 (Salmon et al., SC'11): multipliers and key increments,
+# paired for words (0, 2) of the block
+_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64)
+_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)
+# 0-d arrays: numpy converts a Python int operand on every call
+_LOW32 = np.array(0xFFFFFFFF, dtype=np.uint64)
+_SHIFT32 = np.array(32, dtype=np.uint64)
 
-
-def _mulhilo(a, m):
-    """High and low words of a * m, for a uint64 array a and a constant m.
-
-    numpy has no 128-bit product, so the high word is summed from 32-bit
-    halves; the low word is the product mod 2^64.
-    """
-    a0, a1 = a & _LOW32, a >> 32
-    m0, m1 = m & _LOW32, m >> 32
-    p00, p01, p10 = a0 * m0, a0 * m1, a1 * m0
-    mid = (p00 >> 32) + (p01 & _LOW32) + (p10 & _LOW32)
-    return a1 * m1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32), a * m
+# A round takes its uniform from a buffer of draws that one block-function
+# evaluation fills for every trial still inside.  The evaluation costs
+# about 180 numpy calls whatever its size, so it covers at least _BATCH
+# (trial, block) pairs: the next block of every trial when many are
+# inside, many blocks ahead when few are.
+_BATCH = 256
 
 
 def _philox(c0, k0, k1):
@@ -110,28 +110,56 @@ def _philox(c0, k0, k1):
 
     Arguments are uint64 arrays that broadcast together (never numpy
     scalars, whose overflow warns); returns the four words of each block.
+    Words 0 and 2 go through the multipliers side by side, as one array.
     """
-    x0, x1, x2, x3 = c0, 0, np.zeros_like(c0), 0
+    shape = np.broadcast_shapes(c0.shape, k0.shape, k1.shape)
+    col = (2,) + (1,) * len(shape)
+    m, w = _PHILOX_M.reshape(col), _PHILOX_W.reshape(col)
+    m0, m1 = m & _LOW32, m >> _SHIFT32
+    x = np.zeros((2,) + shape, dtype=np.uint64)      # words 0 and 2
+    x[0] = c0
+    y = np.zeros_like(x)                             # words 1 and 3
+    k = np.empty_like(x)
+    k[0], k[1] = k0, k1
     for rnd in range(10):
         if rnd:
-            k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
-        hi0, lo0 = _mulhilo(x0, _PHILOX_M[0])
-        hi1, lo1 = _mulhilo(x2, _PHILOX_M[1])
-        x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
-    return x0, x1, x2, x3
+            k += w
+        # numpy has no 128-bit product: with x = a + 2^32 b and
+        # m = m0 + 2^32 m1, the high word of x * m is summed from 32-bit
+        # products, none of whose partial sums overflows.  The arrays are
+        # updated in place, so few stay alive at once.
+        a, b = x & _LOW32, x >> _SHIFT32
+        x *= m                              # the low word
+        t = a * m0
+        t >>= _SHIFT32
+        t += b * m0
+        a *= m1
+        a += t & _LOW32
+        a >>= _SHIFT32
+        t >>= _SHIFT32
+        b *= m1
+        b += t
+        b += a                              # the high word
+        # words (x0, x1, x2, x3) become
+        # (hi(x2) ^ x1 ^ k0, lo(x2), hi(x0) ^ x3 ^ k1, lo(x0))
+        b ^= y[::-1]
+        b ^= k[::-1]
+        x, y = b[::-1], x[::-1]
+    return x[0], y[0], x[1], y[1]
 
 
-def _uniforms(seed, streams, block):
-    """Doubles 4 block .. 4 block + 3 of the streams ``trial_rng(seed, s)``
-    for s in ``streams``, as a (4, len(streams)) array.
+def _draws(seed, streams, first, blocks):
+    """Doubles 4 first .. 4 (first + blocks) - 1 of the streams
+    ``trial_rng(seed, s)`` for s in ``streams``, times 2^53, as uint64
+    integers in a (4 blocks, len(streams)) array.
 
     numpy's Philox starts at counter 0 and increments it before each
     block, and a double is the top 53 bits of one word times 2^-53.
     """
-    c0 = np.full(1, block + 1, dtype=np.uint64)
+    c0 = np.arange(first + 1, first + blocks + 1, dtype=np.uint64)[:, None]
     k0 = np.full(1, seed & _MASK64, dtype=np.uint64)
-    words = np.stack(_philox(c0, k0, streams.astype(np.uint64)))
-    return (words >> 11).astype(np.float64) * (1.0 / 9007199254740992.0)
+    words = np.stack(_philox(c0, k0, streams.astype(np.uint64)), axis=1)
+    return words.reshape(4 * blocks, -1) >> 11
 
 
 def mean_stderr(values: np.ndarray) -> tuple[float, float]:
@@ -222,15 +250,33 @@ def _square_radius(code: int) -> int:
     return 0 if code == 1 else 1 << (code - 2)
 
 
-def _jump_tables(d: LatticeDomain):
+@dataclass(frozen=True)
+class _Jumps:
+    """Jump tables of a domain (see ``_jump_tables``)."""
+
+    levels: np.ndarray      # uint8 level code per cell, 0 off the interior
+    laws: list              # per code: (offsets [side, site], cum, mean time)
+    keys: np.ndarray        # uint64 bisection keys of every (code, side)
+    offs: np.ndarray        # int64 flat offset per key
+    mean_time: np.ndarray   # per code
+
+
+def _jump_tables(d: LatticeDomain) -> _Jumps:
     """Level grid and per-level jump laws of a domain, cached on it.
 
-    The level grid is a uint8 array indexed like the domain's site grid:
-    0 off the interior, and 1 + l at a site whose largest interior square
-    has radius r with 2^(l - 1) <= r < 2^l (l = 0 for r = 0).  It comes
-    from doubling erosions, E_1 = erode(E_0, 1) and E_2r = erode(E_r, r).
-    Level code c jumps with square radius ``_square_radius(c)``; its law
-    is (flat offsets, an int64 array indexed [side, site], cum, mean time).
+    The level grid is indexed like the domain's site grid: 0 off the
+    interior, and 1 + l at a site whose largest interior square has radius
+    r with 2^(l - 1) <= r < 2^l (l = 0 for r = 0).  It comes from doubling
+    erosions, E_1 = erode(E_0, 1) and E_2r = erode(E_r, r).  Level code c
+    jumps with square radius ``_square_radius(c)``.
+
+    One sorted key table serves every level.  A double u = m 2^-53 makes
+    side s = floor(4u) and site ``bisect_right(cum, 4u - s)``; as
+    4u - s = (m mod 2^51) 2^-51 exactly, cum_i <= 4u - s iff
+    ceil(cum_i 2^51) <= m mod 2^51.  So group g = 4c + s holds the keys
+    g 2^51 + ceil(cum_i 2^51), closed by (g + 1) 2^51, and
+    ``bisect_right(keys, c 2^53 + m)`` lands on the group's start plus
+    the site: ``offs`` lists every group's flat offsets in that order.
     """
     cached = getattr(d, "_jump_cache", None)
     if cached is not None:
@@ -247,7 +293,7 @@ def _jump_tables(d: LatticeDomain):
             break
         r += step
         code += E
-    laws = [None]
+    laws, keys = [None], []
     for c in range(1, int(code.max()) + 1):
         r = _square_radius(c)
         cum, mean_time, _ = _square_law(r)
@@ -255,8 +301,25 @@ def _jump_tables(d: LatticeDomain):
         a = r + 1
         offs = np.stack([a * W + t, a - t * W, -a * W - t, t * W - a])
         laws.append((offs, cum, mean_time))
-    d._jump_cache = (code.ravel(), W, laws)
+        site = np.ceil(cum * 2.0 ** 51).astype(np.uint64)
+        for g in range(4 * c, 4 * c + 4):
+            keys += [np.uint64(g << 51) + site, np.full(1, (g + 1) << 51,
+                                                         dtype=np.uint64)]
+    d._jump_cache = _Jumps(
+        levels=code.ravel(), laws=laws, keys=np.concatenate(keys),
+        offs=np.concatenate([law[0].ravel() for law in laws[1:]]),
+        mean_time=np.array([0.0] + [law[2] for law in laws[1:]]))
     return d._jump_cache
+
+
+@lru_cache(maxsize=None)
+def _box_greens(codes: int):
+    """(radius, G, start) for level codes 0 .. codes - 1: every code's
+    G_box raveled one after another in G, from index start[c]."""
+    radius = np.array([0] + [_square_radius(c) for c in range(1, codes)])
+    G = [_square_law(r)[2].ravel() for r in radius[1:]]
+    start = np.cumsum([0, 0] + [g.size for g in G[:-1]])
+    return radius, np.concatenate(G), start
 
 
 def _run_trials(d: LatticeDomain, start, count_site, cfg: WalkRunConfig):
@@ -267,47 +330,58 @@ def _run_trials(d: LatticeDomain, start, count_site, cfg: WalkRunConfig):
     stream (cfg.seed, i), the one ``trial_rng(cfg.seed, i).random()``
     gives, so any prefix of trials reproduces exactly under a larger trial
     count.  4u picks side floor(4u) and, by bisection at 4u - side, the
-    site on it.  Visits to count_site (None counts nothing) and exit times
-    are Rao-Blackwellized: each jump adds G_box(centre, count_site) and
-    the square's mean exit time, in jump order.
+    site on it, both read off u's integer bits through one key table.
+    Visits to count_site (None counts nothing) and exit times are
+    Rao-Blackwellized: each jump adds G_box(centre, count_site) and the
+    square's mean exit time, in jump order.  The trials still inside are
+    kept packed, and leave their results when they exit.
     """
-    levels, W, laws = _jump_tables(d)
-    mean_time = np.array([0.0] + [law[2] for law in laws[1:]])
+    t = _jump_tables(d)
+    W = d.stride
     q = -1 if count_site is None else int(d.flat(count_site))
     qx, qy = divmod(q, W)
+    if q >= 0:
+        radius, G, G_at = _box_greens(len(t.laws))
     budget = _budget(d.geometry.n)
-    p = np.full(cfg.trials, int(d.flat(start)), dtype=np.int64)
-    visits = np.zeros(cfg.trials)
-    times = np.zeros(cfg.trials)
-    live = np.arange(cfg.trials)        # the trials still inside
+    code_key = np.arange(len(t.laws), dtype=np.uint64) << 53
+    ends = np.empty(cfg.trials, dtype=np.int64)
+    visits, times = np.zeros(cfg.trials), np.zeros(cfg.trials)
+    live = np.arange(cfg.trials)        # the trials still inside,
+    p = np.full(cfg.trials, int(d.flat(start)), dtype=np.int64)  # their cells
+    vis, tim = np.zeros(cfg.trials), np.zeros(cfg.trials)
+    first = end = 0                     # the rounds the draw buffer holds
     for j in itertools.count():
-        code = levels[p[live]]
-        inside = code != 0
-        live, code = live[inside], code[inside]
-        if not live.size:
-            return d.unflat(p), visits, times
+        code = t.levels[p]
+        if not code.all():
+            out = code == 0
+            gone = live[out]
+            ends[gone], visits[gone], times[gone] = p[out], vis[out], tim[out]
+            if gone.size == live.size:
+                return d.unflat(ends), visits, times
+            inside = ~out
+            live, p, code = live[inside], p[inside], code[inside]
+            vis, tim = vis[inside], tim[inside]
+            if j < end:
+                buf = buf[:, inside]
         if j == budget:
             raise StepBudgetError(
                 f"walk did not exit within {budget} jumps (configuration bug)")
-        us = _uniforms(cfg.seed, live, j // 4) if j % 4 == 0 else us[:, inside]
-        u = 4.0 * us[j % 4]
-        side = u.astype(np.int64)
-        u -= side
-        times[live] += mean_time[code]
-        for c in range(1, len(laws)):
-            sel = code == c
-            if not sel.any():
-                continue
-            offs, cum, _ = laws[c]
-            at = live[sel]
-            pc = p[at]
-            if q >= 0:
-                r = _square_radius(c)
-                dx, dy = qx - pc // W + r, qy - pc % W + r
-                hit = (dx >= 0) & (dx <= 2 * r) & (dy >= 0) & (dy <= 2 * r)
-                visits[at[hit]] += _square_law(r)[2][dy[hit], dx[hit]]
-            k = np.searchsorted(cum, u[sel], side="right")
-            p[at] = pc + offs[side[sel], k]
+        if j == end:
+            blocks = -(-_BATCH // live.size)
+            buf = _draws(cfg.seed, live, j // 4, blocks)
+            first, end = j, j + 4 * blocks
+        tim += t.mean_time[code]
+        if q >= 0:
+            r = radius[code]
+            x, y = np.divmod(p, W)
+            dx, dy = qx - x, qy - y
+            hit = np.flatnonzero((np.abs(dx) <= r) & (np.abs(dy) <= r))
+            if hit.size:
+                r = r[hit]
+                vis[hit] += G[G_at[code[hit]] + (dy[hit] + r) * (2 * r + 1)
+                                + dx[hit] + r]
+        p += t.offs[t.keys.searchsorted(code_key[code] | buf[j - first],
+                                        side="right")]
 
 
 def walk_arc_measure(d: LatticeDomain, x, cfg: WalkRunConfig) -> ArcMeasure:

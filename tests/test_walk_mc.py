@@ -15,9 +15,9 @@ from pacgreen import (ArcMeasure, DomainError, StepBudgetError, WalkRunConfig,
                       simulate_exit, trial_rng, walk_arc_measure)
 from pacgreen import walk_mc
 from pacgreen.green_discrete import _system
-from pacgreen.walk_mc import (_MASK64, _jump_tables, _philox, _run_trials,
-                              _simulate, _square_law, _square_radius,
-                              _uniforms, sample_exits)
+from pacgreen.walk_mc import (_MASK64, _draws, _jump_tables, _philox,
+                              _run_trials, _simulate, _square_law,
+                              _square_radius, sample_exits)
 
 PI = math.pi
 
@@ -25,7 +25,8 @@ PI = math.pi
 def jump_kernel(d):
     """The engine's jump kernel, read from its tables, as a sparse matrix
     from interior sites to interior sites then boundary sites."""
-    levels, _, laws = _jump_tables(d)
+    t = _jump_tables(d)
+    levels, laws = t.levels, t.laws
     M = d.interior_count
     P = d.flat(d.interior)
     code = levels[P]
@@ -59,7 +60,8 @@ def jump_defect(d):
 def replay(d, start, count_site, seed, trials):
     """The walk on squares trial by trial, each from its own ``trial_rng``
     stream, on the engine's tables: the reference ``_run_trials`` equals."""
-    levels, W, laws = _jump_tables(d)
+    t, W = _jump_tables(d), d.stride
+    levels, laws = t.levels, t.laws
     q = None if count_site is None else int(d.flat(count_site))
     rows = []
     for i in range(trials):
@@ -158,13 +160,15 @@ class TestWalkArcMeasure:
 
     def test_trial_streams_replay_as_a_prefix(self, pacman16):
         # trial i draws only from stream (seed, i): a longer run repeats
-        # every exit, visit sum and exit time of a shorter one
+        # every exit, visit sum and exit time of a shorter one, also when
+        # the shorter one draws many blocks ahead
         long = _run_trials(pacman16, (3, -2), (0, 0),
                            WalkRunConfig(trials=600, seed=55))
-        short = _run_trials(pacman16, (3, -2), (0, 0),
-                            WalkRunConfig(trials=300, seed=55))
-        for a, b in zip(long, short):
-            assert same_bits(a[:300], b)
+        for k in (7, 300):
+            short = _run_trials(pacman16, (3, -2), (0, 0),
+                                WalkRunConfig(trials=k, seed=55))
+            for a, b in zip(long, short):
+                assert same_bits(a[:k], b)
 
     def test_matches_exact_harmonic_measure(self, pacman16):
         # exact-oracle check at module scale; the acceptance suite runs the
@@ -215,7 +219,7 @@ class TestJumpEngine:
         g = build_geometry(PI, 8)
         d = lattice_domain_from_sites(
             g, [(x, y) for x in range(-h, h + 1) for y in range(-h, h + 1)])
-        levels, _, _ = _jump_tables(d)
+        levels = _jump_tables(d).levels
         assert _square_radius(int(levels[d.flat((0, 0))])) == h
         row = jump_kernel(d)[d.interior_index((0, 0))].toarray().ravel()
         G_solve = green_solve(d, (0, 0)).values
@@ -230,7 +234,7 @@ class TestJumpEngine:
         d = build_lattice_domain(build_geometry(alpha, n))
         interior = ((d.grid >= 0) & (d.grid < d.interior_count)).reshape(
             -1, d.stride)
-        levels = _jump_tables(d)[0]
+        levels = _jump_tables(d).levels
         # largest interior square radius h, rounded down to a power of two
         h = distance_transform_cdt(interior, metric="chessboard") - 1
         expected = np.where(h > 0, np.floor(np.log2(np.maximum(h, 1))) + 2, 1)
@@ -253,12 +257,34 @@ class TestJumpEngine:
         ("pacman16", (0, 0), None, 4), ("pacman16", (0, 0), (0, 0), -5),
         ("pacman16", (9, -11), (2, 1), 2**64 - 1),
         ("plus_domain", (0, 0), (0, 0), 77), ("plus_domain", (1, 0), (0, 0), 77)])
+    @pytest.mark.parametrize("trials", [3, 100, 400])
     def test_lockstep_equals_scalar_replay(self, request, domain, start,
-                                           count_site, seed):
+                                           count_site, seed, trials):
+        # 3 and 100 trials fill the draw buffer many blocks ahead, and
+        # refill it after trials exit
         d = request.getfixturevalue(domain)
-        got = _run_trials(d, start, count_site, WalkRunConfig(400, seed))
-        for a, b in zip(got, replay(d, start, count_site, seed, 400)):
+        got = _run_trials(d, start, count_site, WalkRunConfig(trials, seed))
+        for a, b in zip(got, replay(d, start, count_site, seed, trials)):
             assert same_bits(a, b)
+
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_key_table_bisects_like_the_doubles(self, n):
+        # at and next to every threshold, the integer key of a draw lands
+        # on the offset that 4u, its side and bisect_right(cum) pick
+        d = build_lattice_domain(build_geometry(PI, n))
+        t = _jump_tables(d)
+        for c in range(1, len(t.laws)):
+            offs, cum, _ = t.laws[c]
+            edge = np.ceil(np.asarray(cum) * 2.0**51).astype(np.int64)
+            m = np.unique(np.clip(np.concatenate(
+                [edge - 1, edge, edge + 1, [0, 2**51 - 1]]), 0, 2**51 - 1))
+            for side in range(4):
+                u53 = (np.uint64(side << 51) + m.astype(np.uint64))
+                got = t.offs[t.keys.searchsorted(np.uint64(c << 53) | u53,
+                                                 side="right")]
+                u = 4.0 * (u53.astype(np.float64) * 2.0**-53)
+                want = [offs[int(v)][bisect_right(cum, v - int(v))] for v in u]
+                assert np.array_equal(got, want)
 
     def test_mean_exit_steps_vs_solver(self):
         # E_0[T] = sum_w G(0, w)
@@ -322,7 +348,7 @@ class TestArcMeasureType:
     def test_block_function_is_numpy_philox(self, seed):
         # 70 doubles cross the 4-word block and the old 32-draw chunk
         streams = np.arange(300)
-        ours = np.concatenate([_uniforms(seed, streams, b) for b in range(18)])
+        ours = _draws(seed, streams, 0, 18).astype(np.float64) * 2.0**-53
         words = np.stack(_philox(np.full(1, 1, dtype=np.uint64),
                                  np.full(1, seed & _MASK64, dtype=np.uint64),
                                  streams.astype(np.uint64)))
@@ -330,6 +356,9 @@ class TestArcMeasureType:
             assert same_bits(ours[:70, i], trial_rng(seed, i).random(70))
             raw = trial_rng(seed, i).bit_generator.random_raw(4)
             assert same_bits(words[:, i], raw)
+        # a buffer that starts at a later block holds the same draws
+        assert same_bits(_draws(seed, streams[5:9], 7, 3),
+                         _draws(seed, streams, 0, 10)[28:, 5:9])
 
     def test_stream_separation(self):
         a = trial_rng(0, 1).integers(0, 4, size=32)
