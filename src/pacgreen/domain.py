@@ -31,10 +31,10 @@ from .errors import DomainError
 TIP_GUARD = 1e-9
 
 # Peak bytes per cell of the (4n + 3)^2 grid for a lattice build followed by
-# a Green's solve, by tracemalloc: 232.0 at n = 128 and 233.5 at n = 256 for
-# alpha = 0, the largest domain (119.9 at alpha = pi), plus 1 for the walk
+# a Green's solve, by tracemalloc: 192.1 at n = 128 and 192.7 at n = 256 for
+# alpha = 0, the largest domain (99.9 at alpha = pi), plus 1 for the walk
 # engine's level grid.  Over the build, the solve and the level grid,
-# resident memory grows by 253 bytes per cell at n = 128 and 256 at n = 256.
+# resident memory grows by 218 bytes per cell at n = 128 and 214 at n = 256.
 _BYTES_PER_CELL = 270
 
 
@@ -208,6 +208,8 @@ class LatticeDomain:
 
     def _cell(self, z) -> int:
         c = _as_complex(z)
+        if not (c.real.is_integer() and c.imag.is_integer()):
+            return -1
         row = int(c.real) + self._origin[0]
         col = int(c.imag) + self._origin[1]
         if not (0 <= row < self.grid.size // self.stride

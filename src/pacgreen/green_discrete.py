@@ -5,6 +5,11 @@ field solves Delta F = -delta_w with zero boundary values, equivalently
 (I - P) F = e_w on interior sites, where P is the interior-to-interior
 quarter-weight adjacency.  Fields are stored over interior sites only, in
 the domain's fixed (y, x) ordering.
+
+No matrix is assembled.  A neighbour table read off the site grid once per
+domain holds the site id of each interior site's four neighbours; (I - P),
+the boundary coupling B (boundary data to right-hand side) and its
+transpose (Green's field to exit law) are all applied from it.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-import scipy.sparse as sp
 
 from .box import box_green
 from .domain import LatticeDomain
@@ -45,31 +49,42 @@ class ScalarField:
         return float(self.values[self.domain.require_interior(z)])
 
 
-def _system(d: LatticeDomain):
-    """(I - P) over interior sites and the boundary quarter-weight coupling."""
-    cached = getattr(d, "_system_cache", None)
-    if cached is not None:
-        return cached
-    M = d.interior_count
-    p = d.flat(d.interior)
-    rows, cols = [], []
-    for step in (d.stride, -d.stride, 1, -1):
-        j = d.grid[p + step]
-        ok = j >= 0
-        rows.append(np.nonzero(ok)[0])
-        cols.append(j[ok])
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    inner = cols < M
-    A = sp.identity(M, format="csr") - sp.csr_matrix(
-        (np.full(np.count_nonzero(inner), 0.25), (rows[inner], cols[inner])),
-        shape=(M, M))
-    outer = ~inner
-    B = sp.csr_matrix(
-        (np.full(np.count_nonzero(outer), 0.25), (rows[outer], cols[outer] - M)),
-        shape=(M, d.boundary_count))
-    d._system_cache = (A, B)
-    return A, B
+def _neighbours(d: LatticeDomain):
+    """Site ids of every interior site's four neighbours, shape (4, M).
+
+    Row k is the neighbour at cell offset (-1, -stride, +stride, +1)[k],
+    that is y - 1, x - 1, x + 1, y + 1: the order of increasing id.  Ids
+    below M are interior sites; M + j is boundary site j.
+    """
+    cached = getattr(d, "_neighbour_cache", None)
+    if cached is None:
+        step = np.array([[-1], [-d.stride], [d.stride], [1]])
+        cached = d._neighbour_cache = d.grid[d.flat(d.interior) + step]
+    return cached
+
+
+def _operator(d: LatticeDomain, x):
+    """(I - P) x.  Each row is summed as a CSR matrix with sorted columns
+    sums it: from 0, the lower-id neighbours, the site, the higher-id ones;
+    so solves repeat to the last bit.  In place, because temporaries of
+    this size cost more than the sums."""
+    n0, n1, n2, n3 = _neighbours(d)
+    q = np.concatenate((0.25 * x, np.zeros(d.boundary_count)))
+    y = q.take(n0)
+    np.subtract(0.0, y, out=y)
+    y -= q.take(n1)
+    y += x
+    y -= q.take(n2)
+    y -= q.take(n3)
+    return y
+
+
+def _coupling(d: LatticeDomain, h):
+    """B h: the quarter-weight sum of boundary data h over each interior
+    site's boundary neighbours, summed in the same order."""
+    n0, n1, n2, n3 = _neighbours(d)
+    r = np.concatenate((np.zeros(d.interior_count), 0.25 * h))
+    return 0.0 + r[n0] + r[n1] + r[n2] + r[n3]
 
 
 def _box_inverse(flat, solve, shape, r):
@@ -100,7 +115,8 @@ def _box_preconditioner(d: LatticeDomain):
 
 
 def _cg(A, b, precond, tol, maxit):
-    """Preconditioned CG; stops when the true residual's max-norm is <= tol."""
+    """Preconditioned CG on x -> A(x); stops when the true residual's
+    max-norm is <= tol."""
     x = np.zeros_like(b)
     r = b.copy()
     if np.max(np.abs(r)) <= tol:
@@ -109,13 +125,13 @@ def _cg(A, b, precond, tol, maxit):
     p = z.copy()
     rz = r @ z
     for it in range(1, maxit + 1):
-        Ap = A @ p
+        Ap = A(p)
         step = rz / (p @ Ap)
         x += step * p
         r -= step * Ap
         if np.max(np.abs(r)) <= tol:
             # guard against accumulated drift in the recurrence
-            true_r = b - A @ x
+            true_r = b - A(x)
             if np.max(np.abs(true_r)) <= tol:
                 return x, it
             r = true_r
@@ -128,27 +144,26 @@ def _cg(A, b, precond, tol, maxit):
 
 
 def _gauss_seidel(A, b, d: LatticeDomain, tol, maxit):
-    # red-black sweeps; the verification reference for _cg on small domains
+    # red-black sweeps x <- b + x - A(x); the verification reference for _cg
     parity = (d.interior[:, 0] + d.interior[:, 1]) & 1
     red = parity == 0
     black = ~red
-    P = sp.identity(A.shape[0], format="csr") - A
     x = np.zeros_like(b)
     for it in range(1, maxit + 1):
-        x[red] = b[red] + (P @ x)[red]
-        x[black] = b[black] + (P @ x)[black]
+        x[red] = b[red] + (x - A(x))[red]
+        x[black] = b[black] + (x - A(x))[black]
         if it % 4 == 0 or it == maxit:
-            res = np.max(np.abs(b - A @ x))
+            res = np.max(np.abs(b - A(x)))
             if res <= tol:
                 return x, it
     raise ConvergenceError("gauss-seidel did not converge",
-                           residual=float(np.max(np.abs(b - A @ x))),
+                           residual=float(np.max(np.abs(b - A(x)))),
                            iterations=maxit)
 
 
 def _solve(d: LatticeDomain, b):
-    A, _ = _system(d)
-    x, _ = _cg(A, b, _box_preconditioner(d), RESIDUAL_TOLERANCE, MAX_ITERATIONS)
+    x, _ = _cg(partial(_operator, d), b, _box_preconditioner(d),
+               RESIDUAL_TOLERANCE, MAX_ITERATIONS)
     return x
 
 
@@ -166,8 +181,7 @@ def dirichlet_solve(d: LatticeDomain, h) -> ScalarField:
         raise DomainError("boundary data length must equal boundary count")
     if not np.all(np.isfinite(h)):
         raise DomainError("boundary data must be finite")
-    _, B = _system(d)
-    return ScalarField(d, _solve(d, B @ h))
+    return ScalarField(d, _solve(d, _coupling(d, h)))
 
 
 def green_via_potential(d: LatticeDomain, w) -> ScalarField:
@@ -194,8 +208,17 @@ def discrete_arc_measure(d: LatticeDomain, x) -> ArcMeasure:
     gives the row.  It is nonnegative and sums to 1 up to solver tolerance
     (``walk_mc.ARC_TOLERANCE``).
     """
-    _, B = _system(d)
-    G = green_solve(d, x).values
-    p = np.bincount(d.boundary_arc - 1, weights=B.T @ G,
+    p = np.bincount(d.boundary_arc - 1, weights=_exit_weights(d, x),
                     minlength=d.geometry.N)
     return ArcMeasure(probabilities=p)
+
+
+def _exit_weights(d: LatticeDomain, x):
+    """(B^T G(., x))_b for every boundary site b: the law of the site where
+    the walk from x leaves the domain.  Each site's weight accumulates over
+    its interior neighbours in increasing id, as a CSC product sums it."""
+    G = green_solve(d, x).values
+    M = d.interior_count
+    w = np.bincount(_neighbours(d).T.ravel(), weights=np.repeat(0.25 * G, 4),
+                    minlength=M + d.boundary_count)
+    return w[M:]

@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,8 +16,8 @@ from pacgreen import (ConvergenceError, DomainError, WalkRunConfig,
                       green_via_potential, lattice_domain_from_sites)
 from pacgreen.domain import _BYTES_PER_CELL
 from pacgreen.green_discrete import (MAX_ITERATIONS, RESIDUAL_TOLERANCE,
-                                     _box_preconditioner, _cg, _gauss_seidel,
-                                     _system)
+                                     _box_preconditioner, _cg, _coupling,
+                                     _exit_weights, _gauss_seidel, _operator)
 
 PI = math.pi
 
@@ -50,9 +54,31 @@ def absorbing_chain_green(d, w):
     return np.linalg.solve(A, b), index
 
 
+def sparse_system(d):
+    """(I - P) over interior sites and the boundary quarter-weight coupling
+    B, as CSR matrices built from the site coordinates, not the site grid."""
+    M = d.interior_count
+    index = {(x, y): i for i, (x, y) in
+             enumerate(np.concatenate([d.interior, d.boundary]).tolist())}
+    rows, cols = [], []
+    for i, (x, y) in enumerate(d.interior.tolist()):
+        for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            rows.append(i)
+            cols.append(index[(x + dx, y + dy)])
+    rows, cols = np.array(rows), np.array(cols)
+    inner = cols < M
+    A = sp.identity(M, format="csr") - sp.csr_matrix(
+        (np.full(np.count_nonzero(inner), 0.25), (rows[inner], cols[inner])),
+        shape=(M, M))
+    B = sp.csr_matrix(
+        (np.full(np.count_nonzero(~inner), 0.25),
+         (rows[~inner], cols[~inner] - M)), shape=(M, d.boundary_count))
+    return A, B
+
+
 def origin_system(d):
     """(I - P) and the right-hand side e_0 of the Green's solve from (0, 0)."""
-    A, _ = _system(d)
+    A, _ = sparse_system(d)
     b = np.zeros(d.interior_count)
     b[d.interior_index((0, 0))] = 1.0
     return A, b
@@ -95,13 +121,13 @@ class TestGreenSolve:
         d = build_lattice_domain(build_geometry(PI, 8))
         cg = green_solve(d, (0, 0))
         A, b = origin_system(d)
-        gs, _ = _gauss_seidel(A, b, d, RESIDUAL_TOLERANCE, MAX_ITERATIONS)
+        gs, _ = _gauss_seidel(A.dot, b, d, RESIDUAL_TOLERANCE, MAX_ITERATIONS)
         assert np.max(np.abs(cg.values - gs)) < 1e-8
 
     def test_gauss_seidel_convergence_error(self, pacman16):
         A, b = origin_system(pacman16)
         with pytest.raises(ConvergenceError) as err:
-            _gauss_seidel(A, b, pacman16, RESIDUAL_TOLERANCE, 1000)
+            _gauss_seidel(A.dot, b, pacman16, RESIDUAL_TOLERANCE, 1000)
         assert err.value.residual is not None
         assert err.value.residual > 0
 
@@ -183,13 +209,42 @@ class TestDirichlet:
             dirichlet_solve(pacman16, h)
 
 
+class TestOperator:
+    @pytest.mark.parametrize("domain", ["pacman16", "plus_domain"])
+    def test_equals_sparse_products_bit_for_bit(self, domain, request):
+        # the stencil sums each row in the CSR order, so the solves repeat
+        # those of a sparse-matrix solver to the last bit
+        d = request.getfixturevalue(domain)
+        A, B = sparse_system(d)
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal(d.interior_count)
+        h = rng.standard_normal(d.boundary_count)
+        assert _operator(d, x).tobytes() == (A @ x).tobytes()
+        assert _coupling(d, h).tobytes() == (B @ h).tobytes()
+        G = green_solve(d, (1, 0)).values
+        assert _exit_weights(d, (1, 0)).tobytes() == (B.T @ G).tobytes()
+
+    def test_package_runs_without_scipy(self):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        code = ("import sys, pacgreen as p\n"
+                "d = p.build_lattice_domain(p.build_geometry(3.14159, 8))\n"
+                "p.green_solve(d, (0, 0))\n"
+                "p.discrete_arc_measure(d, (0, 0))\n"
+                "print([m for m in sys.modules if m.startswith('scipy')])")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+
 class TestPreconditionedCG:
     @pytest.mark.parametrize("alpha", [0.0, PI / 2, PI])
     def test_iteration_guard(self, alpha):
         # 24-36 iterations with the box preconditioner; hundreds without
         d = build_lattice_domain(build_geometry(alpha, 64))
         A, b = origin_system(d)
-        x, iterations = _cg(A, b, _box_preconditioner(d), RESIDUAL_TOLERANCE,
+        x, iterations = _cg(A.dot, b, _box_preconditioner(d), RESIDUAL_TOLERANCE,
                             MAX_ITERATIONS)
         assert iterations <= 60
         assert np.max(np.abs(b - A @ x)) <= RESIDUAL_TOLERANCE

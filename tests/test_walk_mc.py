@@ -14,7 +14,7 @@ from pacgreen import (ArcMeasure, DomainError, StepBudgetError, WalkRunConfig,
                       green_solve, lattice_domain_from_sites, mean_exit_steps,
                       simulate_exit, trial_rng, walk_arc_measure)
 from pacgreen import walk_mc
-from pacgreen.green_discrete import _system
+from pacgreen.green_discrete import _exit_weights
 from pacgreen.walk_mc import (_MASK64, _draws, _jump_tables, _philox,
                               _run_trials, _simulate, _square_law,
                               _square_radius, sample_exits)
@@ -121,7 +121,7 @@ class TestSimulateExit:
     def test_exit_law_matches_solver(self, plus_domain):
         # the stepwise reference against the exact law B^T G per boundary site
         d = plus_domain
-        exact = _system(d)[1].T @ green_solve(d, (0, 0)).values
+        exact = _exit_weights(d, (0, 0))
         trials = 4000
         counts = np.zeros(d.boundary_count)
         for t in range(trials):
@@ -223,7 +223,7 @@ class TestJumpEngine:
         assert _square_radius(int(levels[d.flat((0, 0))])) == h
         row = jump_kernel(d)[d.interior_index((0, 0))].toarray().ravel()
         G_solve = green_solve(d, (0, 0)).values
-        exact = _system(d)[1].T @ G_solve
+        exact = _exit_weights(d, (0, 0))
         assert not row[:d.interior_count].any()
         assert np.max(np.abs(row[d.interior_count:] - exact)) <= 1e-9
         assert mean_time == pytest.approx(G_solve.sum(), abs=1e-9)
@@ -369,7 +369,8 @@ class TestArcMeasureType:
 
 
 class TestPointForms:
-    """Every front end takes a site in each form ``require_interior`` does."""
+    """Every front end takes a site in each form ``require_interior`` does,
+    and rejects a point off the lattice instead of rounding it to a site."""
 
     FRONT_ENDS = {
         "simulate_exit": lambda d, x: simulate_exit(d, x, trial_rng(3, 0)),
@@ -392,3 +393,9 @@ class TestPointForms:
         expected = run(d, (0, 0))
         for x in (0j, row, np.array([0.0, 0.0])):
             assert run(d, x) == expected
+        one = run(d, (1, 0))
+        for x in ((1.0, 0.0), 1 + 0j, d.interior[d.interior_index((1, 0))]):
+            assert run(d, x) == one
+        for x in ((0.5, 0), (-0.7, 0), 0.9 + 0.9j, (0.5, -0.5), (np.inf, 0)):
+            with pytest.raises(DomainError):
+                run(d, x)
