@@ -31,10 +31,12 @@ from .errors import DomainError
 TIP_GUARD = 1e-9
 
 # Peak bytes per cell of the (4n + 3)^2 grid for a lattice build followed by
-# a Green's solve, by tracemalloc: 192.1 at n = 128 and 192.7 at n = 256 for
-# alpha = 0, the largest domain (99.9 at alpha = pi), plus 1 for the walk
+# a Green's solve, by tracemalloc: 150.1 at n = 128 and 150.6 at n = 256 for
+# alpha = 0, the largest domain (79.4 at alpha = pi), plus 1 for the walk
 # engine's level grid.  Over the build, the solve and the level grid,
-# resident memory grows by 218 bytes per cell at n = 128 and 214 at n = 256.
+# resident memory grows by 154 bytes per cell at n = 128 and 153 at n = 256.
+# Through the potential-kernel representation the peak is 187 at n = 128,
+# and 227 at n = 32, where the kernel table's fixed temporaries weigh most.
 _BYTES_PER_CELL = 270
 
 

@@ -19,7 +19,6 @@ from functools import partial
 
 import numpy as np
 
-from .box import box_green
 from .domain import LatticeDomain
 from .errors import ConvergenceError, DomainError, InvariantError
 from .potential import potential_many
@@ -87,31 +86,185 @@ def _coupling(d: LatticeDomain, h):
     return 0.0 + r[n0] + r[n1] + r[n2] + r[n3]
 
 
-def _box_inverse(flat, solve, shape, r):
-    """Scatter r into the box, solve there, gather."""
-    box = np.zeros(shape[0] * shape[1])
-    box[flat] = r
-    return solve(box.reshape(shape)).ravel()[flat]
+# Coarsening stops at the first grid with at most this many sites, which
+# the V-cycle solves by a dense inverse.
+COARSEST_SITES = 150
+
+# Sub-lattices of the two colours, by (y, x) parity in the w-frame.
+_RED = ((0, 0), (1, 1))
+_BLACK = ((0, 1), (1, 0))
 
 
-def _box_preconditioner(d: LatticeDomain):
-    """Exact inverse of (I - P) on the interior's bounding box, restricted.
+def _sub(a, i, j, shape):
+    """Every other cell of a padded level array from (i, j) on: one
+    sub-lattice of a (shape)-sized grid, or its neighbours on one side."""
+    return a[i:i + shape[0]:2, j:j + shape[1]:2]
 
-    The box carries Dirichlet walls (``box.box_green``).  Restricted to
-    the domain's sites the inverse stays symmetric positive definite, so
-    it preconditions CG on (I - P); this is the fast-Poisson
-    idea of the capacitance method (Buzbee, Dorr, George & Golub, SIAM J.
-    Numer. Anal. 1971).
+
+def _around(a, i, j, shape):
+    """The four neighbour views of sub-lattice (i, j) of padded array a."""
+    return (_sub(a, i, j + 1, shape), _sub(a, i + 2, j + 1, shape),
+            _sub(a, i + 1, j, shape), _sub(a, i + 1, j + 2, shape))
+
+
+def _block(a):
+    """The four coarse cells around each centre, as views of padded a."""
+    return a[:-1, :-1], a[:-1, 1:], a[1:, :-1], a[1:, 1:]
+
+
+def _stencil(out, views, weight, tmp, f=None):
+    """out = weight * (sum of the four views), plus f when given."""
+    np.add(views[0], views[1], out=tmp)
+    tmp += views[2]
+    tmp += views[3]
+    if f is None:
+        np.multiply(tmp, weight, out=out)
+    else:
+        tmp *= weight
+        np.add(tmp, f, out=out)
+
+
+class _Grid:
+    """One level of the V-cycle: its site mask over a box of the w-frame,
+    indexed [y, x], and the correction u and right-hand side f on it,
+    each with a zero halo.  Cells off the mask stay zero."""
+
+    def __init__(self, mask):
+        self.mask = mask
+        self.u = np.zeros((mask.shape[0] + 2, mask.shape[1] + 2))
+        self.f = np.zeros_like(self.u)
+
+
+class _Level:
+    """Smoothing on a grid of even shape, and the transfers to and from
+    the grid of every other site of it.
+
+    On every grid (I - P) u = f is relaxed by Gauss-Seidel: a site's new
+    value is f plus a quarter of its neighbours' sum.  With full weighting
+    R = P^T / 4, bilinear prolongation P, and (1/4)(I - P) as the coarse
+    operator for the doubled spacing, the coarse right-hand side is P^T
+    of the residual.  After the red-black sweep the residual vanishes on
+    black sites, and the black sweep overwrites what P puts there, so
+    both transfers touch red sites only: the coarse sites themselves
+    (even, even) and the cell centres between them (odd, odd).
     """
-    cached = getattr(d, "_precond_cache", None)
-    if cached is not None:
-        return cached
-    x = d.interior[:, 0] - d.interior[:, 0].min()
-    y = d.interior[:, 1] - d.interior[:, 1].min()
-    nx, ny = int(x.max()) + 1, int(y.max()) + 1
-    d._precond_cache = partial(_box_inverse, y * nx + x, box_green(nx, ny),
-                               (ny, nx))
-    return d._precond_cache
+
+    def __init__(self, grid: _Grid, coarse: _Grid):
+        shape = grid.mask.shape
+        u, f, cu = grid.u, grid.f, coarse.u
+        self.tmp = np.empty((shape[0] // 2, shape[1] // 2))
+        self.res = np.zeros((shape[0] // 2 + 1, shape[1] // 2 + 1))
+        self.coarse_f, self.coarse_u = coarse.f[1:-1, 1:-1], cu[1:-1, 1:-1]
+        self.centre_from_coarse = _block(cu[1:, 1:])
+
+        def colour(c, neighbours):
+            # (u, f, quarter mask, neighbour views) on sub-lattice c
+            return (_sub(u, c[0] + 1, c[1] + 1, shape),
+                    _sub(f, c[0] + 1, c[1] + 1, shape),
+                    0.25 * grid.mask[c[0]::2, c[1]::2],
+                    _around(neighbours, *c, shape))
+
+        self.black_from_f = [colour(c, f) for c in _BLACK]
+        self.black = [colour(c, u) for c in _BLACK]
+        self.red = [colour(c, u) for c in _RED]
+
+    def down(self):
+        # from u = 0 the red sweep gives u = f on red sites, so the black
+        # sweep reads f there
+        tmp = self.tmp
+        for u, f, q, views in self.black_from_f:
+            _stencil(u, views, q, tmp, f)
+        (_, _, q_site, around_site), (_, _, q_centre, around_centre) = self.red
+        _stencil(self.coarse_f, around_site, q_site, tmp)
+        _stencil(self.res[1:, 1:], around_centre, q_centre, tmp)
+        # P^T: each coarse site takes a quarter of its four centres' residual
+        _stencil(self.coarse_f, _block(self.res), q_site, tmp, self.coarse_f)
+
+    def up(self):
+        tmp = self.tmp
+        (u, f, _, _), (u_centre, f_centre, q_centre, _) = self.red
+        np.add(f, self.coarse_u, out=u)
+        _stencil(u_centre, self.centre_from_coarse, q_centre, tmp, f_centre)
+        for u, f, q, views in self.black + self.red:
+            _stencil(u, views, q, tmp, f)
+
+
+class _VCycle:
+    """Symmetric multigrid V-cycle for (I - P): the CG preconditioner.
+
+    Level k takes the sites of the w-frame with both coordinates
+    multiples of 2^k, so the re-entrant tip w = 0, and with it the slit at
+    alpha = 0, lies on every grid (Brandt, Math. Comp. 1977).  Its box is
+    the interior's bounding box rounded out to multiples of 2^depth, then
+    halved k times.  One red-black Gauss-Seidel sweep on the way down and
+    one black-red on the way up keep the cycle symmetric and positive
+    definite, as CG needs (Tatebe, Copper Mountain Conference on
+    Multigrid Methods, 1993).  The coarsest grid, at most COARSEST_SITES
+    sites, is solved exactly.  Buffers are allocated once; a call writes
+    every cell it reads before reading it, except cells that stay zero,
+    so calls repeat to the last bit.  Calls must not overlap.
+    """
+
+    def __init__(self, d: LatticeDomain):
+        w = d.interior + np.asarray(d.geometry.z0)      # tip at 0
+        both = w[:, 0] | w[:, 1]     # multiple of 2^k iff both coordinates are
+        depth = 0
+        while np.count_nonzero(both & ((1 << depth) - 1) == 0) > COARSEST_SITES:
+            depth += 1
+        top = 1 << depth
+        lo = w.min(0) // top * top
+        c = w - lo
+        mask = np.zeros(tuple(-(-(c.max(0) + 1) // top) * top)[::-1], dtype=bool)
+        mask[c[:, 1], c[:, 0]] = True
+        grids = [_Grid(mask)]
+        for _ in range(depth):
+            grids.append(_Grid(grids[-1].mask[::2, ::2].copy()))
+        self.levels = [_Level(g, coarse) for g, coarse in zip(grids, grids[1:])]
+        top_grid, coarsest = grids[0], grids[-1]
+        self.f0, self.u0 = top_grid.f.reshape(-1), top_grid.u.reshape(-1)
+        self.cells = self._cells(top_grid, c)
+        self.coarse_f = coarsest.f.reshape(-1)
+        self.coarse_u = coarsest.u.reshape(-1)
+        self.coarse_cells, self.coarse_inverse = self._dense(coarsest)
+
+    @staticmethod
+    def _cells(grid, c):
+        """Flat cells of sites c = (x, y) in a grid's padded arrays."""
+        return (c[:, 1] + 1) * grid.u.shape[1] + c[:, 0] + 1
+
+    @staticmethod
+    def _dense(grid):
+        """Flat cells of the coarsest grid's sites and the inverse of
+        (I - P) over them."""
+        yx = np.argwhere(grid.mask)
+        cells = _VCycle._cells(grid, yx[:, ::-1])
+        ids = np.full(grid.u.size, -1)
+        ids[cells] = np.arange(cells.size)
+        A = np.eye(cells.size)
+        for step in (1, grid.u.shape[1]):
+            for nb in (ids[cells - step], ids[cells + step]):
+                on = nb >= 0
+                A[np.flatnonzero(on), nb[on]] -= 0.25
+        inv = np.linalg.inv(A)
+        return cells, 0.5 * (inv + inv.T)
+
+    def __call__(self, r):
+        self.f0[self.cells] = r
+        for level in self.levels:
+            level.down()
+        self.coarse_u[self.coarse_cells] = (self.coarse_inverse
+                                            @ self.coarse_f[self.coarse_cells])
+        for level in reversed(self.levels):
+            level.up()
+        return self.u0.take(self.cells)
+
+
+def _multigrid(d: LatticeDomain) -> _VCycle:
+    """The domain's V-cycle, built once."""
+    cached = getattr(d, "_multigrid_cache", None)
+    if cached is None:
+        cached = d._multigrid_cache = _VCycle(d)
+    return cached
 
 
 def _cg(A, b, precond, tol, maxit):
@@ -162,7 +315,7 @@ def _gauss_seidel(A, b, d: LatticeDomain, tol, maxit):
 
 
 def _solve(d: LatticeDomain, b):
-    x, _ = _cg(partial(_operator, d), b, _box_preconditioner(d),
+    x, _ = _cg(partial(_operator, d), b, _multigrid(d),
                RESIDUAL_TOLERANCE, MAX_ITERATIONS)
     return x
 

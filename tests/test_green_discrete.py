@@ -3,10 +3,12 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,8 +18,8 @@ from pacgreen import (ConvergenceError, DomainError, WalkRunConfig,
                       green_via_potential, lattice_domain_from_sites)
 from pacgreen.domain import _BYTES_PER_CELL
 from pacgreen.green_discrete import (MAX_ITERATIONS, RESIDUAL_TOLERANCE,
-                                     _box_preconditioner, _cg, _coupling,
-                                     _exit_weights, _gauss_seidel, _operator)
+                                     _cg, _coupling, _exit_weights,
+                                     _gauss_seidel, _multigrid, _operator)
 
 PI = math.pi
 
@@ -34,8 +36,25 @@ def single_domain():
 
 
 @pytest.fixture(scope="module")
+def line_domain():
+    # 200 sites on an odd column: the grid of every other site is empty
+    g = build_geometry(PI, 128)
+    return lattice_domain_from_sites(g, [(1 - g.z0[0], y) for y in range(200)])
+
+
+@pytest.fixture(scope="module")
 def pacman16():
     return build_lattice_domain(build_geometry(PI, 16))
+
+
+@pytest.fixture(scope="module")
+def pacman_a03():
+    return build_lattice_domain(build_geometry(0.3, 33))
+
+
+@pytest.fixture(scope="module")
+def pacman_a25():
+    return build_lattice_domain(build_geometry(2.5, 24))
 
 
 def absorbing_chain_green(d, w):
@@ -239,15 +258,43 @@ class TestOperator:
 
 
 class TestPreconditionedCG:
-    @pytest.mark.parametrize("alpha", [0.0, PI / 2, PI])
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, PI / 2, 2.0, PI])
     def test_iteration_guard(self, alpha):
-        # 24-36 iterations with the box preconditioner; hundreds without
-        d = build_lattice_domain(build_geometry(alpha, 64))
+        # 10-14 iterations with the multigrid preconditioner, flat in n; the
+        # box inverse it replaced took 18-52 here, growing with n
+        for n in (32, 64, 128):
+            d = build_lattice_domain(build_geometry(alpha, n))
+            A = partial(_operator, d)
+            b = np.zeros(d.interior_count)
+            b[d.interior_index((0, 0))] = 1.0
+            x, iterations = _cg(A, b, _multigrid(d), RESIDUAL_TOLERANCE,
+                                MAX_ITERATIONS)
+            assert iterations <= 20
+            assert np.max(np.abs(b - A(x))) <= RESIDUAL_TOLERANCE
+
+    @pytest.mark.parametrize("domain", [
+        "single_domain", "plus_domain", "line_domain", "pacman16",
+        "pacman_a03", "pacman_a25"])
+    def test_preconditioner_symmetric_positive(self, domain, request):
+        # CG needs M symmetric positive definite; the V-cycle is, up to
+        # rounding, on multilevel domains and on those solved by the
+        # coarsest grid's dense inverse alone
+        d = request.getfixturevalue(domain)
+        M = _multigrid(d)
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            u, v = rng.standard_normal((2, d.interior_count))
+            Mu, Mv = M(u), M(v)
+            assert (abs(u @ Mv - Mu @ v)
+                    <= 1e-12 * np.linalg.norm(u) * np.linalg.norm(Mv))
+            assert v @ Mv > 0
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.5])
+    def test_matches_sparse_direct_solve(self, alpha):
+        d = build_lattice_domain(build_geometry(alpha, 16))
         A, b = origin_system(d)
-        x, iterations = _cg(A.dot, b, _box_preconditioner(d), RESIDUAL_TOLERANCE,
-                            MAX_ITERATIONS)
-        assert iterations <= 60
-        assert np.max(np.abs(b - A @ x)) <= RESIDUAL_TOLERANCE
+        exact = spsolve(A.tocsc(), b)
+        assert np.max(np.abs(green_solve(d, (0, 0)).values - exact)) <= 1e-9
 
 
 class TestGreenViaPotential:
