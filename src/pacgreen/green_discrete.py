@@ -9,7 +9,8 @@ the domain's fixed (y, x) ordering.
 No matrix is assembled.  A neighbour table read off the site grid once per
 domain holds the site id of each interior site's four neighbours; (I - P),
 the boundary coupling B (boundary data to right-hand side) and its
-transpose (Green's field to exit law) are all applied from it.
+transpose (Green's field to exit law) are all applied from it.  CG on
+(I - P) is preconditioned by one multigrid V-cycle, built once per domain.
 """
 
 from __future__ import annotations
@@ -206,38 +207,39 @@ class _VCycle:
     """
 
     def __init__(self, d: LatticeDomain):
-        w = d.interior + np.asarray(d.geometry.z0)      # tip at 0
-        both = w[:, 0] | w[:, 1]     # multiple of 2^k iff both coordinates are
+        x, y = (d.interior + np.asarray(d.geometry.z0)).T     # tip at 0
+        both = x | y     # a multiple of 2^k iff both coordinates are
         depth = 0
         while np.count_nonzero(both & ((1 << depth) - 1) == 0) > COARSEST_SITES:
             depth += 1
         top = 1 << depth
-        lo = w.min(0) // top * top
-        c = w - lo
-        mask = np.zeros(tuple(-(-(c.max(0) + 1) // top) * top)[::-1], dtype=bool)
-        mask[c[:, 1], c[:, 0]] = True
+        x = x - x.min() // top * top
+        y = y - y.min() // top * top
+        mask = np.zeros((-(-(y.max() + 1) // top) * top,
+                         -(-(x.max() + 1) // top) * top), dtype=bool)
+        mask[y, x] = True
         grids = [_Grid(mask)]
         for _ in range(depth):
             grids.append(_Grid(grids[-1].mask[::2, ::2].copy()))
         self.levels = [_Level(g, coarse) for g, coarse in zip(grids, grids[1:])]
         top_grid, coarsest = grids[0], grids[-1]
         self.f0, self.u0 = top_grid.f.reshape(-1), top_grid.u.reshape(-1)
-        self.cells = self._cells(top_grid, c)
+        self.cells = self._cells(top_grid, x, y)
         self.coarse_f = coarsest.f.reshape(-1)
         self.coarse_u = coarsest.u.reshape(-1)
         self.coarse_cells, self.coarse_inverse = self._dense(coarsest)
 
     @staticmethod
-    def _cells(grid, c):
-        """Flat cells of sites c = (x, y) in a grid's padded arrays."""
-        return (c[:, 1] + 1) * grid.u.shape[1] + c[:, 0] + 1
+    def _cells(grid, x, y):
+        """Flat cells of sites (x, y) in a grid's padded arrays."""
+        return (y + 1) * grid.u.shape[1] + x + 1
 
     @staticmethod
     def _dense(grid):
         """Flat cells of the coarsest grid's sites and the inverse of
         (I - P) over them."""
-        yx = np.argwhere(grid.mask)
-        cells = _VCycle._cells(grid, yx[:, ::-1])
+        y, x = np.nonzero(grid.mask)
+        cells = _VCycle._cells(grid, x, y)
         ids = np.full(grid.u.size, -1)
         ids[cells] = np.arange(cells.size)
         A = np.eye(cells.size)
