@@ -266,8 +266,7 @@ class TestOperator:
 class TestPreconditionedCG:
     @pytest.mark.parametrize("alpha", [0.0, 1.0, PI / 2, 2.0, PI])
     def test_iteration_guard(self, alpha):
-        # 10-14 iterations with the multigrid preconditioner, flat in n; the
-        # box inverse it replaced took 18-52 here, growing with n
+        # 10-14 iterations here, flat in n and alpha
         for n in (32, 64, 128):
             d = build_lattice_domain(build_geometry(alpha, n))
             A, b = origin_system(d)
