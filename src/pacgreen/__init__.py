@@ -20,8 +20,8 @@ from .green_discrete import (ScalarField, dirichlet_solve,
 from .walk_mc import (ArcMeasure, WalkRunConfig, green_mc, mean_exit_steps,
                       simulate_exit, trial_rng, walk_arc_measure)
 from .experiments import (ExperimentConfig, RateFitResult, RatePoint,
-                          error_field, expdiff_estimate, fit_loglog,
-                          prop_bound_scale, rate_sweep, region_min_radius)
+                          expdiff_estimate, fit_loglog, prop_bound_scale,
+                          rate_sweep, region_min_radius)
 
 __all__ = [
     "PacmanGeometry", "LatticeDomain", "build_geometry", "build_lattice_domain",
@@ -38,7 +38,6 @@ __all__ = [
     "green_solve", "green_via_potential",
     "ArcMeasure", "WalkRunConfig", "green_mc", "mean_exit_steps",
     "simulate_exit", "trial_rng", "walk_arc_measure",
-    "ExperimentConfig", "RateFitResult", "RatePoint", "error_field",
-    "expdiff_estimate", "fit_loglog", "prop_bound_scale", "rate_sweep",
-    "region_min_radius",
+    "ExperimentConfig", "RateFitResult", "RatePoint", "expdiff_estimate",
+    "fit_loglog", "prop_bound_scale", "rate_sweep", "region_min_radius",
 ]

@@ -137,7 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rate", help="convergence-rate sweep and log-log fit")
     p.add_argument("--alphas", type=partial(_parse_list, float), required=True)
     p.add_argument("--ns", type=partial(_parse_list, int), required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--plot")
 
@@ -226,7 +225,7 @@ def _cmd_rate(args) -> int:
     cfg = ExperimentConfig(alphas=args.alphas, ns=args.ns)
     manifest = RunManifest("rate", {"alphas": list(args.alphas),
                                     "ns": list(args.ns)},
-                           args.seed, __version__, _now())
+                           None, __version__, _now())
     results = rate_sweep(cfg)
     rows = []
     for res in results:

@@ -29,7 +29,7 @@ from .domain import (PacmanGeometry, _as_complex, build_geometry,
                      build_lattice_domain, contains, nearest_boundary)
 from .errors import DomainError, FitError
 from .green_continuous import bm_arc_measure, green_pacman_many
-from .green_discrete import ScalarField, green_solve
+from .green_discrete import green_solve
 from .potential import kernel_remainder
 from .walk_mc import WalkRunConfig, mean_stderr, sample_exits, trial_rng
 
@@ -98,19 +98,16 @@ class ExperimentConfig:
             raise DomainError("ns must be strictly increasing")
 
 
-def _region_errors(g: PacmanGeometry):
+def _rate_point(alpha: float, n: int) -> RatePoint:
     """Raw and corrected errors on the admissible region.
 
     The raw error is |G(w) - (2/pi) g(w)|.  The region rule bounds the
     kernel remainder eps(w) by the rate but does not make it negligible at
     n <= 256, so the corrected error |G(w) - (2/pi) g(w) + eps(w)| takes it
-    out exactly on the same sites.
-
-    Returns (rmin, mask over interior sites, raw errors on the masked
-    sites, corrected errors on the masked sites, discrete field).  One
-    solve with source at the origin serves the whole field through the
-    symmetry G(0, w) = G(w, 0).
+    out exactly on the same sites.  One solve with source at the origin
+    serves every site through the symmetry G(0, w) = G(w, 0).
     """
+    g = build_geometry(alpha, n)
     if not contains(g, 0j):
         raise DomainError("origin is not interior for this geometry")
     d = build_lattice_domain(g)
@@ -121,25 +118,8 @@ def _region_errors(g: PacmanGeometry):
     gvals = green_pacman_many(g, 0j, zc[mask])
     diff = G.values[mask] - (2.0 / math.pi) * gvals
     w = d.interior[mask]
+    err = np.abs(diff)
     corrected = np.abs(diff + kernel_remainder(w[:, 0], w[:, 1]))
-    return rmin, mask, np.abs(diff), corrected, G
-
-
-def error_field(g: PacmanGeometry) -> ScalarField:
-    """Field of |G(w) - (2/pi) g(w)| on the admissible region.
-
-    Sites inside the excluded origin ball carry 0 so the field stays
-    defined over all interior sites.
-    """
-    _, mask, err, _, G = _region_errors(g)
-    values = np.zeros(G.domain.interior_count)
-    values[mask] = err
-    return ScalarField(G.domain, values)
-
-
-def _rate_point(alpha: float, n: int) -> RatePoint:
-    g = build_geometry(alpha, n)
-    rmin, _, err, corrected, _ = _region_errors(g)
     return RatePoint(n=n, sup_error=float(err.max()),
                      mean_error=float(err.mean()), region_min_radius=rmin,
                      corrected_sup_error=float(corrected.max()))

@@ -33,7 +33,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .box import box_green
 from .domain import LatticeDomain, arc_index_of_radius
 from .errors import DomainError, StepBudgetError
 
@@ -219,12 +218,27 @@ def _square_law(r: int):
     Returns (cum, mean time, G): cum bisects a uniform into a site of one
     side (all four sides carry the same law), the mean exit time is
     sum(G), and G = G_box(centre, .) is indexed [y, x] from the corner.
+
+    G is the box's sine series (Lawler & Limic 2010), with m = 2r + 1 and
+    S[j, t] = sin(pi j t / (m + 1)) for j, t = 1..m: G = S^T D S, where
+    D = 4 / (m + 1)^2 s s^T / lambda, s = S[:, r] the modes at the centre
+    and lambda_jk = 1 - (cos(pi j / (m + 1)) + cos(pi k / (m + 1))) / 2.
+    Two-operand einsum sums the products in its own loops, never in BLAS,
+    so the tables do not depend on the BLAS thread count.
     """
     m = 2 * r + 1
-    e = np.zeros((m, m))
-    e[r, r] = 1.0
-    # the 1 x 1 square is one step, with G = 1; the DST would round it
-    G = box_green(m, m)(e) if r else e
+    if r:
+        t = np.arange(1, m + 1)
+        # j t reduced mod 2 (m + 1) exactly keeps the sine's argument small
+        S = np.sin(np.pi / (m + 1) * (np.outer(t, t) % (2 * m + 2)))
+        c = np.cos(np.pi / (m + 1) * t)
+        s = S[:, r]
+        D = 4.0 / (m + 1) ** 2 * (s[:, None] * s) / (
+            1.0 - 0.5 * (c[:, None] + c))
+        G = np.einsum("jy,jx->yx", S, np.einsum("jk,kx->jx", D, S))
+    else:
+        # the 1 x 1 square is one step, with G = 1; the series gives 1 - 1 ulp
+        G = np.ones((1, 1))
     G.setflags(write=False)
     side = G[:, -1]           # 4 x the exit law through the wall x = r + 1
     cum = np.cumsum(side[:-1]) / side.sum()

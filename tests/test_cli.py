@@ -128,7 +128,7 @@ class TestRateCommand:
         out = tmp_path / "rates.csv"
         svg = tmp_path / "rates.svg"
         rc = dispatch(["rate", "--alphas", "3.141592653589793",
-                       "--ns", "8,12,16", "--seed", "1",
+                       "--ns", "8,12,16",
                        "--out", str(out), "--plot", str(svg)])
         assert rc == 0
         rows = out.read_text().strip().splitlines()
@@ -141,6 +141,7 @@ class TestRateCommand:
         assert root.tag.endswith("svg")
         man = json.loads((tmp_path / "rates.csv.manifest.json").read_text())
         assert len(man["outputs"]) == 3
+        assert man["seed"] is None
 
     def test_module_entry_point(self, tmp_path):
         out = tmp_path / "rates.csv"

@@ -1,12 +1,11 @@
 import math
 
-import numpy as np
 import pytest
 
 from pacgreen import (DomainError, ExperimentConfig, FitError, WalkRunConfig,
-                      build_geometry, error_field, expdiff_estimate,
-                      fit_loglog, nearest_boundary, prop_bound_scale,
-                      rate_sweep, region_min_radius)
+                      build_geometry, expdiff_estimate, fit_loglog,
+                      nearest_boundary, prop_bound_scale, rate_sweep,
+                      region_min_radius)
 
 PI = math.pi
 
@@ -39,29 +38,11 @@ class TestFitLoglog:
             fit_loglog([(1, 2), (1, 2), (1, 2)])
 
 
-class TestErrorField:
-    def test_values_nonnegative_finite(self):
+class TestRegionMinRadius:
+    def test_formula(self):
         g = build_geometry(PI, 16)
-        F = error_field(g)
-        assert np.all(F.values >= 0)
-        assert np.all(np.isfinite(F.values))
-
-    def test_origin_ball_excluded(self):
-        g = build_geometry(PI, 16)
-        rmin = region_min_radius(g)
-        assert rmin == pytest.approx((16 / math.log(16) ** 2) ** (g.c_alpha / 2))
-        F = error_field(g)
-        zc = F.domain.interior[:, 0] + 1j * F.domain.interior[:, 1]
-        inside_ball = np.abs(zc) < rmin
-        assert np.all(F.values[inside_ball] == 0.0)
-        assert F.values[~inside_ball].max() > 0
-
-    def test_sup_decreases_with_n(self):
-        sups = []
-        for n in (32, 64):
-            F = error_field(build_geometry(PI, n))
-            sups.append(F.values.max())
-        assert sups[1] < sups[0]
+        assert region_min_radius(g) == pytest.approx(
+            (16 / math.log(16) ** 2) ** (g.c_alpha / 2))
 
 
 class TestExperimentConfig:

@@ -156,6 +156,14 @@ class TestGreenSolve:
         assert err.value.residual is not None
         assert err.value.residual > 0
 
+    def test_cg_convergence_error(self, pacman16):
+        # CG needs about 10 iterations here
+        A, b = origin_system(pacman16)
+        with pytest.raises(ConvergenceError) as err:
+            _cg(A.dot, b, _multigrid(pacman16), RESIDUAL_TOLERANCE, 2)
+        assert err.value.residual > 0
+        assert err.value.iterations == 2
+
 
 class TestDirichlet:
     def test_constant_data(self, pacman16):

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from bisect import bisect_right
 
 import numpy as np
@@ -206,9 +209,14 @@ class TestJumpEngine:
     def test_jump_harmonic_at_any_angle(self, alpha, n):
         assert jump_defect(build_lattice_domain(build_geometry(alpha, n))) <= 1e-9
 
-    @pytest.mark.parametrize("h", [1, 2, 4, 8])
+    @pytest.mark.parametrize("h", [0, 1, 2, 4, 8])
     def test_square_law(self, h):
         cum, mean_time, G = _square_law(h)
+        if h == 0:
+            # one step, exactly: the series would give 1 - 1 ulp
+            assert same_bits(G, np.ones((1, 1)))
+            assert cum.size == 0
+            assert mean_time == 1.0
         side = G[:, -1]
         assert abs(side.sum() - 1.0) <= 1e-12     # four sides of G / 4
         for other in (G[:, 0], G[0, :], G[-1, :]):
@@ -227,6 +235,25 @@ class TestJumpEngine:
         assert not row[:d.interior_count].any()
         assert np.max(np.abs(row[d.interior_count:] - exact)) <= 1e-9
         assert mean_time == pytest.approx(G_solve.sum(), abs=1e-9)
+
+    def test_square_law_ignores_blas_threads(self):
+        # einsum sums the series in numpy's own loops; at this radius a
+        # BLAS matrix product changes bits between one and two threads
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        code = ("import sys\n"
+                "from pacgreen.walk_mc import _square_law\n"
+                "cum, _, G = _square_law(64)\n"
+                "sys.stdout.write((G.tobytes() + cum.tobytes()).hex())")
+        out = []
+        for threads in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-c", code],
+                env=dict(os.environ, PYTHONPATH=src,
+                         OPENBLAS_NUM_THREADS=threads),
+                capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            out.append(proc.stdout)
+        assert out[0] and out[0] == out[1]
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, PI / 2, PI])
     @pytest.mark.parametrize("n", [8, 33, 64])
