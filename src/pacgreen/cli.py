@@ -244,7 +244,7 @@ def _cmd_rate(args) -> int:
     manifest.add_output(summary_path)
     if args.plot:
         series = [(res.alpha, res.c_alpha,
-                   [(math.log(p.n) ** 2 / p.n, p.sup_error) for p in res.points])
+                   [(1.0 / p.n, p.corrected_sup_error) for p in res.points])
                   for res in results]
         atomic_write_text(args.plot, render_rate_plot(series))
         manifest.add_output(args.plot)
@@ -293,7 +293,9 @@ _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
 def render_rate_plot(series) -> str:
     """Log-log scatter per alpha plus a reference line of slope c_alpha.
 
-    series: list of (alpha, c_alpha, [(scale, value), ...]).
+    series: list of (alpha, c_alpha, [(1/n, corrected sup error), ...]):
+    the error with the kernel remainder taken out, whose slope against
+    1/n measures the rate (see ``experiments``).
     """
     if not series or all(not pts for _, _, pts in series):
         raise PlotError("no data to plot")
@@ -306,9 +308,9 @@ def render_rate_plot(series) -> str:
              f'<line x1="{_PAD}" y1="{_H - _PAD}" x2="{_W - _PAD}" y2="{_H - _PAD}" stroke="black"/>',
              f'<line x1="{_PAD}" y1="{_PAD}" x2="{_PAD}" y2="{_H - _PAD}" stroke="black"/>',
              f'<text x="{_W // 2}" y="{_H - 16}" font-size="13" text-anchor="middle">'
-             'log(log^2 n / n)</text>',
+             'log(1/n)</text>',
              f'<text x="18" y="{_H // 2}" font-size="13" text-anchor="middle" '
-             f'transform="rotate(-90 18 {_H // 2})">log(sup error)</text>']
+             f'transform="rotate(-90 18 {_H // 2})">log(corrected sup error)</text>']
     for i, (alpha, ca, pts) in enumerate(series):
         color = _COLORS[i % len(_COLORS)]
         lx = [math.log(s) for s, _ in pts]

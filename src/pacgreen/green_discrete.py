@@ -6,17 +6,20 @@ field solves Delta F = -delta_w with zero boundary values, equivalently
 quarter-weight adjacency.  Fields are stored over interior sites only, in
 the domain's fixed (y, x) ordering.
 
-No matrix is assembled.  A neighbour table read off the site grid once per
-domain holds the site id of each interior site's four neighbours; (I - P),
-the boundary coupling B (boundary data to right-hand side) and its
-transpose (Green's field to exit law) are all applied from it.  CG on
-(I - P) is preconditioned by one multigrid V-cycle, built once per domain.
+No matrix is assembled.  The solver works on the finest grid of its
+multigrid V-cycle, built once per domain: four flat arrays, one per
+parity class of the sites (see _Grid), in which every neighbour of a
+class's sites is a contiguous slice.  (I - P), the boundary coupling B
+(boundary data to right-hand side), its transpose (Green's field to exit
+law) and the V-cycle's smoothing are sums of such slices.  CG on (I - P),
+preconditioned by one V-cycle, runs on vectors in that layout: a solve
+scatters its right-hand side into it once and gathers the solution once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -49,68 +52,98 @@ class ScalarField:
         return float(self.values[self.domain.require_interior(z)])
 
 
-def _neighbours(d: LatticeDomain):
-    """Site ids of every interior site's four neighbours, shape (4, M).
-
-    Row k is the neighbour at cell offset (-1, -stride, +stride, +1)[k],
-    that is y - 1, x - 1, x + 1, y + 1: the order of increasing id.  Ids
-    below M are interior sites; M + j is boundary site j.
-    """
-    cached = getattr(d, "_neighbour_cache", None)
-    if cached is None:
-        step = np.array([[-1], [-d.stride], [d.stride], [1]])
-        cached = d._neighbour_cache = d.grid[d.flat(d.interior) + step]
-    return cached
-
-
-def _operator(d: LatticeDomain, x):
-    """(I - P) x.  Each row is summed as a CSR matrix with sorted columns
-    sums it: from 0, the lower-id neighbours, the site, the higher-id ones;
-    so solves repeat to the last bit.  In place, because temporaries of
-    this size cost more than the sums."""
-    n0, n1, n2, n3 = _neighbours(d)
-    q = np.concatenate((0.25 * x, np.zeros(d.boundary_count)))
-    y = q.take(n0)
-    np.subtract(0.0, y, out=y)
-    y -= q.take(n1)
-    y += x
-    y -= q.take(n2)
-    y -= q.take(n3)
-    return y
-
-
-def _coupling(d: LatticeDomain, h):
-    """B h: the quarter-weight sum of boundary data h over each interior
-    site's boundary neighbours, summed in the same order."""
-    n0, n1, n2, n3 = _neighbours(d)
-    r = np.concatenate((np.zeros(d.interior_count), 0.25 * h))
-    return 0.0 + r[n0] + r[n1] + r[n2] + r[n3]
-
-
 # Coarsening stops at the first grid with at most this many sites, which
 # the V-cycle solves by a dense inverse.
 COARSEST_SITES = 150
 
-# Sub-lattices of the two colours, by (y, x) parity in the w-frame.
-_RED = ((0, 0), (1, 1))
-_BLACK = ((0, 1), (1, 0))
+# Plane k of a grid holds the cells of (y, x) parity _PLANES[k]; the red
+# colour is planes 0 and 3, the black one planes 1 and 2.
+_PLANES = ((0, 0), (0, 1), (1, 0), (1, 1))
+_RED, _BLACK = (0, 3), (1, 2)
 
 
-def _sub(a, i, j, shape):
-    """Every other cell of a padded level array from (i, j) on: one
-    sub-lattice of a (shape)-sized grid, or its neighbours on one side."""
-    return a[i:i + shape[0]:2, j:j + shape[1]:2]
+def _dot(a, b):
+    """a . b, summed by numpy's own loops: two-operand einsum without
+    optimize does not call BLAS, so solves do not depend on the BLAS
+    thread count."""
+    return np.einsum("i,i->", a, b)
 
 
-def _around(a, i, j, shape):
-    """The four neighbour views of sub-lattice (i, j) of padded array a."""
-    return (_sub(a, i, j + 1, shape), _sub(a, i + 2, j + 1, shape),
-            _sub(a, i + 1, j, shape), _sub(a, i + 1, j + 2, shape))
+def _max_abs(a):
+    """max |a|, by two reductions without a temporary."""
+    return max(a.max(), -a.min())
 
 
-def _block(a):
-    """The four coarse cells around each centre, as views of padded a."""
-    return a[:-1, :-1], a[:-1, 1:], a[1:, :-1], a[1:, 1:]
+def _inverse(a):
+    """The inverse of a symmetric positive definite matrix, by Gauss-Jordan
+    elimination without pivoting in numpy's own loops: LAPACK's inverse
+    changes bits with the BLAS thread count from about 100 rows on."""
+    a = a.copy()
+    for k in range(len(a)):
+        d = a[k, k]
+        row = a[k] / d
+        col = a[:, k].copy()
+        a -= np.multiply.outer(col, row)
+        a[k] = row
+        a[:, k] = -col / d
+        a[k, k] = 1.0 / d
+    return a
+
+
+class _Grid:
+    """A box of H x W cells of the w-frame, with its site mask indexed
+    [y, x], stored as four flat planes: plane k = 2a + b holds the cell
+    (y, x) = (2i + a, 2j + b) at k L + (i + 1) C + j.
+
+    A plane has rows i = -1 ... ceil(H/2) of C = ceil(W/2) + 1 cells.  Its
+    first and last rows are halo, and so is the last cell of each row,
+    which is also cell j = -1 of the next row.  Every cell within one step
+    of the box, boundary sites included, thus has a cell of its own, and
+    halo and non-site cells hold zero in every array the solver keeps.
+
+    The neighbours of a plane's cells on one side lie in one other plane,
+    all at one shift, so they form one contiguous slice.  ``views`` gives
+    a plane's own slice and the four neighbour slices, each of length S:
+    rows 0 ... ceil(H/2) from the last cell of row -1 for even y, rows
+    -1 ... ceil(H/2) - 1 for odd y.  Those are the rows that hold the
+    plane's box and boundary cells; the cells outside all four own slices
+    are never written.
+    """
+
+    def __init__(self, mask, sites=None):
+        self.mask = mask
+        half_h, half_w = -(-mask.shape[0] // 2), -(-mask.shape[1] // 2)
+        self.row = C = half_w + 1
+        self.plane = L = (half_h + 2) * C
+        self.span = (half_h + 1) * C
+        self.size = 4 * L
+        # starts of the slices: own cells, then y - 1, y + 1, x - 1, x + 1
+        self.starts = []
+        for a, b in _PLANES:
+            own = (2 * a + b) * L + (1 - a) * (C - 1)
+            ny = (2 * (1 - a) + b) * L - (1 - a)
+            nx = (2 * a + 1 - b) * L + (1 - a) * (C - 1)
+            self.starts.append((own, ny, ny + C, nx - (1 - b), nx + b))
+        self.sites = self.cells(*(np.nonzero(mask) if sites is None else sites))
+        self.u = np.zeros(self.size)
+        self.f = np.zeros(self.size)
+        self.quarter = np.zeros(self.size)
+        self.quarter[self.sites] = 0.25
+
+    def cells(self, y, x):
+        """Flat cells of box coordinates (y, x), each in -1 ... H or W."""
+        return ((2 * (y & 1) + (x & 1)) * self.plane
+                + ((y >> 1) + 1) * self.row + (x >> 1))
+
+    def views(self, a, k):
+        """Plane k's own slice of flat array a, then its neighbour slices
+        at y - 1, y + 1, x - 1, x + 1."""
+        return [a[s:s + self.span] for s in self.starts[k]]
+
+    def blocks(self, a):
+        """The box cells of each plane of a, as 2-D views [i, j]."""
+        return [a[k * self.plane:(k + 1) * self.plane].reshape(-1, self.row)
+                [1:-1, :-1] for k in range(4)]
 
 
 def _stencil(out, views, weight, tmp, f=None):
@@ -125,17 +158,6 @@ def _stencil(out, views, weight, tmp, f=None):
         np.add(tmp, f, out=out)
 
 
-class _Grid:
-    """One level of the V-cycle: its site mask over a box of the w-frame,
-    indexed [y, x], and the correction u and right-hand side f on it,
-    each with a zero halo.  Cells off the mask stay zero."""
-
-    def __init__(self, mask):
-        self.mask = mask
-        self.u = np.zeros((mask.shape[0] + 2, mask.shape[1] + 2))
-        self.f = np.zeros_like(self.u)
-
-
 class _Level:
     """Smoothing on a grid of even shape, and the transfers to and from
     the grid of every other site of it.
@@ -147,27 +169,46 @@ class _Level:
     of the residual.  After the red-black sweep the residual vanishes on
     black sites, and the black sweep overwrites what P puts there, so
     both transfers touch red sites only: the coarse sites themselves
-    (even, even) and the cell centres between them (odd, odd).
+    (plane 0) and the cell centres between them (plane 3).
+
+    Both go through two scratch arrays laid out as one plane of this
+    grid: ``at_sites`` holds the coarse right-hand side, then the coarse
+    correction, on the cells of plane 0, which are the coarse grid's
+    cells, and ``at_centres`` the residual on those of plane 3.  The
+    coarse right-hand side is split into the coarse grid's planes, and
+    its correction merged back, by strided copies.
     """
 
     def __init__(self, grid: _Grid, coarse: _Grid):
-        shape = grid.mask.shape
-        u, f, cu = grid.u, grid.f, coarse.u
-        self.tmp = np.empty((shape[0] // 2, shape[1] // 2))
-        self.res = np.zeros((shape[0] // 2 + 1, shape[1] // 2 + 1))
-        self.coarse_f, self.coarse_u = coarse.f[1:-1, 1:-1], cu[1:-1, 1:-1]
-        self.centre_from_coarse = _block(cu[1:, 1:])
+        C, S = grid.row, grid.span
+        self.tmp = np.empty(S)
+        at_sites, at_centres = np.zeros(grid.plane + 1), np.zeros(grid.plane + 1)
+        # plane 0's own slice starts at C - 1 and plane 3's at 0; the
+        # centres sit two cells in, so the first coarse site's centre at
+        # (i - 1, j - 1) is in the array
+        self.coarse_site = at_sites[C - 1:C - 1 + S]
+        self.centre = at_centres[2:2 + S]
+        # each coarse site's four centres, and each centre's four coarse
+        # sites: (i - 1, j - 1), (i - 1, j), (i, j - 1), (i, j) and
+        # (i, j), (i, j + 1), (i + 1, j), (i + 1, j + 1)
+        self.centres_around = [at_centres[s:s + S] for s in (0, 1, C, C + 1)]
+        self.coarse_around = [at_sites[s:s + S] for s in (0, 1, C, C + 1)]
+        cells = at_sites[:grid.plane].reshape(-1, C)[1:-1, :-1]
+        parts = [cells[a::2, b::2] for a, b in _PLANES]
+        self.split = [(dst[:p.shape[0], :p.shape[1]], p)
+                      for dst, p in zip(coarse.blocks(coarse.f), parts)]
+        self.merge = [(p, src[:p.shape[0], :p.shape[1]])
+                      for src, p in zip(coarse.blocks(coarse.u), parts)]
 
-        def colour(c, neighbours):
-            # (u, f, quarter mask, neighbour views) on sub-lattice c
-            return (_sub(u, c[0] + 1, c[1] + 1, shape),
-                    _sub(f, c[0] + 1, c[1] + 1, shape),
-                    0.25 * grid.mask[c[0]::2, c[1]::2],
-                    _around(neighbours, *c, shape))
+        def colour(k, neighbours):
+            # (u, f, quarter mask, neighbour slices) of plane k
+            return (grid.views(grid.u, k)[0], grid.views(grid.f, k)[0],
+                    grid.views(grid.quarter, k)[0],
+                    grid.views(neighbours, k)[1:])
 
-        self.black_from_f = [colour(c, f) for c in _BLACK]
-        self.black = [colour(c, u) for c in _BLACK]
-        self.red = [colour(c, u) for c in _RED]
+        self.black_from_f = [colour(k, grid.f) for k in _BLACK]
+        self.black = [colour(k, grid.u) for k in _BLACK]
+        self.red = [colour(k, grid.u) for k in _RED]
 
     def down(self):
         # from u = 0 the red sweep gives u = f on red sites, so the black
@@ -176,22 +217,47 @@ class _Level:
         for u, f, q, views in self.black_from_f:
             _stencil(u, views, q, tmp, f)
         (_, _, q_site, around_site), (_, _, q_centre, around_centre) = self.red
-        _stencil(self.coarse_f, around_site, q_site, tmp)
-        _stencil(self.res[1:, 1:], around_centre, q_centre, tmp)
+        _stencil(self.coarse_site, around_site, q_site, tmp)
+        _stencil(self.centre, around_centre, q_centre, tmp)
         # P^T: each coarse site takes a quarter of its four centres' residual
-        _stencil(self.coarse_f, _block(self.res), q_site, tmp, self.coarse_f)
+        _stencil(self.coarse_site, self.centres_around, q_site, tmp,
+                 self.coarse_site)
+        for dst, src in self.split:
+            np.copyto(dst, src)
 
     def up(self):
         tmp = self.tmp
+        for dst, src in self.merge:
+            np.copyto(dst, src)
         (u, f, _, _), (u_centre, f_centre, q_centre, _) = self.red
-        np.add(f, self.coarse_u, out=u)
-        _stencil(u_centre, self.centre_from_coarse, q_centre, tmp, f_centre)
+        np.add(f, self.coarse_site, out=u)
+        _stencil(u_centre, self.coarse_around, q_centre, tmp, f_centre)
         for u, f, q, views in self.black + self.red:
             _stencil(u, views, q, tmp, f)
 
 
+@lru_cache(maxsize=16)
+def _dense_inverse(shape, mask):
+    """The symmetrised inverse of (I - P) over the sites of a coarsest
+    grid, given by its mask's shape and bytes.  Doubling n at one angle
+    keeps the coarsest mask, so a rate sweep inverts it once."""
+    y, x = np.nonzero(np.frombuffer(mask, dtype=bool).reshape(shape))
+    ids = np.full((shape[0] + 2, shape[1] + 2), -1)
+    ids[y + 1, x + 1] = np.arange(y.size)
+    A = np.eye(y.size)
+    for nb in (ids[y + 1, x], ids[y + 1, x + 2], ids[y, x + 1],
+               ids[y + 2, x + 1]):
+        on = nb >= 0
+        A[np.flatnonzero(on), nb[on]] -= 0.25
+    inv = _inverse(A)
+    inv = 0.5 * (inv + inv.T)
+    inv.flags.writeable = False
+    return inv
+
+
 class _VCycle:
-    """Symmetric multigrid V-cycle for (I - P): the CG preconditioner.
+    """Symmetric multigrid V-cycle for (I - P): the CG preconditioner, and
+    the grid the solver works on.
 
     Level k takes the sites of the w-frame with both coordinates
     multiples of 2^k, so the re-entrant tip w = 0, and with it the slit at
@@ -204,6 +270,9 @@ class _VCycle:
     sites, is solved exactly.  Buffers are allocated once; a call writes
     every cell it reads before reading it, except cells that stay zero,
     so calls repeat to the last bit.  Calls must not overlap.
+
+    ``sites`` and ``boundary`` are the finest grid's cells of the domain's
+    interior and boundary sites, in the domain's order.
     """
 
     def __init__(self, d: LatticeDomain):
@@ -213,52 +282,69 @@ class _VCycle:
         while np.count_nonzero(both & ((1 << depth) - 1) == 0) > COARSEST_SITES:
             depth += 1
         top = 1 << depth
-        x = x - x.min() // top * top
-        y = y - y.min() // top * top
+        x0, y0 = x.min() // top * top, y.min() // top * top
+        x, y = x - x0, y - y0
         mask = np.zeros((-(-(y.max() + 1) // top) * top,
                          -(-(x.max() + 1) // top) * top), dtype=bool)
         mask[y, x] = True
-        grids = [_Grid(mask)]
+        grids = [_Grid(mask, (y, x))]
         for _ in range(depth):
             grids.append(_Grid(grids[-1].mask[::2, ::2].copy()))
         self.levels = [_Level(g, coarse) for g, coarse in zip(grids, grids[1:])]
-        top_grid, coarsest = grids[0], grids[-1]
-        self.f0, self.u0 = top_grid.f.reshape(-1), top_grid.u.reshape(-1)
-        self.cells = self._cells(top_grid, x, y)
-        self.coarse_f = coarsest.f.reshape(-1)
-        self.coarse_u = coarsest.u.reshape(-1)
-        self.coarse_cells, self.coarse_inverse = self._dense(coarsest)
-
-    @staticmethod
-    def _cells(grid, x, y):
-        """Flat cells of sites (x, y) in a grid's padded arrays."""
-        return (y + 1) * grid.u.shape[1] + x + 1
-
-    @staticmethod
-    def _dense(grid):
-        """Flat cells of the coarsest grid's sites and the inverse of
-        (I - P) over them."""
-        y, x = np.nonzero(grid.mask)
-        cells = _VCycle._cells(grid, x, y)
-        ids = np.full(grid.u.size, -1)
-        ids[cells] = np.arange(cells.size)
-        A = np.eye(cells.size)
-        for step in (1, grid.u.shape[1]):
-            for nb in (ids[cells - step], ids[cells + step]):
-                on = nb >= 0
-                A[np.flatnonzero(on), nb[on]] -= 0.25
-        inv = np.linalg.inv(A)
-        return cells, 0.5 * (inv + inv.T)
+        self.top, self.coarsest = grids[0], grids[-1]
+        c = self.coarsest.mask
+        self.inverse = _dense_inverse(c.shape, c.tobytes())
+        # mask rows are y, so the mask's sites come in the domain's order
+        self.sites = self.top.sites
+        bx, by = (d.boundary + np.asarray(d.geometry.z0)).T
+        self.boundary = self.top.cells(by - y0, bx - x0)
+        self.on_site = 4.0 * self.top.quarter     # 1 on sites, 0 elsewhere
+        self.q = np.zeros(self.top.size)
+        self.Ax = np.zeros(self.top.size)
+        self.q_views = [self.top.views(self.q, k)[1:] for k in range(4)]
+        self.Ax_views = [self.top.views(self.Ax, k)[0] for k in range(4)]
 
     def __call__(self, r):
-        self.f0[self.cells] = r
+        """One V-cycle from f = r on the finest grid.  Returns the finest
+        grid's u, overwritten by the next call."""
+        np.copyto(self.top.f, r)
         for level in self.levels:
             level.down()
-        self.coarse_u[self.coarse_cells] = (self.coarse_inverse
-                                            @ self.coarse_f[self.coarse_cells])
+        c = self.coarsest
+        c.u[c.sites] = np.einsum("ij,j->i", self.inverse, c.f[c.sites])
         for level in reversed(self.levels):
             level.up()
-        return self.u0.take(self.cells)
+        return self.top.u
+
+    def operator(self, x):
+        """(I - P) x.  Each site sums its row as a CSR matrix with sorted
+        columns does: from 0, the lower-id neighbours (y - 1, x - 1), the
+        site, the higher-id ones; so solves repeat to the last bit.
+        Returns a buffer of the cycle's, overwritten by the next call."""
+        np.multiply(x, 0.25, out=self.q)
+        for k, (ym, yp, xm, xp) in enumerate(self.q_views):
+            y, s = self.Ax_views[k], self.top.starts[k][0]
+            np.subtract(0.0, ym, out=y)
+            y -= xm
+            y += x[s:s + self.top.span]
+            y -= xp
+            y -= yp
+        self.Ax *= self.on_site
+        return self.Ax
+
+    def neighbour_sum(self, v):
+        """0 + v[y - 1] + v[x - 1] + v[x + 1] + v[y + 1] in every cell of
+        the planes' own slices: a site's neighbours in increasing id, as
+        CSR and CSC products of the quarter-weight coupling sum them."""
+        out = np.zeros(self.top.size)
+        for k in range(4):
+            _, ym, yp, xm, xp = self.top.views(v, k)
+            y = self.top.views(out, k)[0]
+            np.add(ym, 0.0, out=y)
+            y += xm
+            y += xp
+            y += yp
+        return out
 
 
 def _multigrid(d: LatticeDomain) -> _VCycle:
@@ -269,33 +355,59 @@ def _multigrid(d: LatticeDomain) -> _VCycle:
     return cached
 
 
+def _scatter(d: LatticeDomain, values):
+    """An interior vector on the solver's grid."""
+    mg = _multigrid(d)
+    v = np.zeros(mg.top.size)
+    v[mg.sites] = values
+    return v
+
+
+def _gather(d: LatticeDomain, v):
+    """The interior vector of a vector on the solver's grid."""
+    return v[_multigrid(d).sites]
+
+
+def _coupling(d: LatticeDomain, h):
+    """B h on the solver's grid: the quarter-weight sum of boundary data h
+    over each interior site's boundary neighbours."""
+    mg = _multigrid(d)
+    v = np.zeros(mg.top.size)
+    v[mg.boundary] = 0.25 * h
+    b = mg.neighbour_sum(v)
+    b *= mg.on_site
+    return b
+
+
 def _cg(A, b, precond, tol, maxit):
     """Preconditioned CG on x -> A(x); stops when the true residual's
-    max-norm is <= tol."""
+    max-norm is <= tol.  A and precond may return buffers of their own
+    that their next call overwrites."""
     x = np.zeros_like(b)
     r = b.copy()
-    if np.max(np.abs(r)) <= tol:
+    if _max_abs(r) <= tol:
         return x, 0
     z = precond(r)
     p = z.copy()
-    rz = r @ z
+    rz = _dot(r, z)
+    tmp = np.empty_like(b)
     for it in range(1, maxit + 1):
         Ap = A(p)
-        step = rz / (p @ Ap)
-        x += step * p
-        r -= step * Ap
-        if np.max(np.abs(r)) <= tol:
+        step = rz / _dot(p, Ap)
+        x += np.multiply(p, step, out=tmp)
+        r -= np.multiply(Ap, step, out=tmp)
+        if _max_abs(r) <= tol:
             # guard against accumulated drift in the recurrence
-            true_r = b - A(x)
-            if np.max(np.abs(true_r)) <= tol:
+            np.subtract(b, A(x), out=r)
+            if _max_abs(r) <= tol:
                 return x, it
-            r = true_r
         z = precond(r)
-        rz_new = r @ z
-        p = z + (rz_new / rz) * p
+        rz_new = _dot(r, z)
+        p *= rz_new / rz
+        p += z
         rz = rz_new
     raise ConvergenceError("conjugate gradient did not converge",
-                           residual=float(np.max(np.abs(r))), iterations=maxit)
+                           residual=float(_max_abs(r)), iterations=maxit)
 
 
 def _gauss_seidel(A, b, d: LatticeDomain, tol, maxit):
@@ -317,16 +429,24 @@ def _gauss_seidel(A, b, d: LatticeDomain, tol, maxit):
 
 
 def _solve(d: LatticeDomain, b):
-    x, _ = _cg(partial(_operator, d), b, _multigrid(d),
-               RESIDUAL_TOLERANCE, MAX_ITERATIONS)
+    """x with (I - P) x = b, both on the solver's grid."""
+    mg = _multigrid(d)
+    x, _ = _cg(mg.operator, b, mg, RESIDUAL_TOLERANCE, MAX_ITERATIONS)
     return x
+
+
+def _green(d: LatticeDomain, w):
+    """G(., w) on the solver's grid."""
+    i = d.require_interior(w)
+    mg = _multigrid(d)
+    b = np.zeros(mg.top.size)
+    b[mg.sites[i]] = 1.0
+    return _solve(d, b)
 
 
 def green_solve(d: LatticeDomain, w) -> ScalarField:
     """Discrete Green's function G(., w): expected visits to w before exit."""
-    b = np.zeros(d.interior_count)
-    b[d.require_interior(w)] = 1.0
-    return ScalarField(d, _solve(d, b))
+    return ScalarField(d, _gather(d, _green(d, w)))
 
 
 def dirichlet_solve(d: LatticeDomain, h) -> ScalarField:
@@ -336,7 +456,7 @@ def dirichlet_solve(d: LatticeDomain, h) -> ScalarField:
         raise DomainError("boundary data length must equal boundary count")
     if not np.all(np.isfinite(h)):
         raise DomainError("boundary data must be finite")
-    return ScalarField(d, _solve(d, _coupling(d, h)))
+    return ScalarField(d, _gather(d, _solve(d, _coupling(d, h))))
 
 
 def green_via_potential(d: LatticeDomain, w) -> ScalarField:
@@ -372,8 +492,5 @@ def _exit_weights(d: LatticeDomain, x):
     """(B^T G(., x))_b for every boundary site b: the law of the site where
     the walk from x leaves the domain.  Each site's weight accumulates over
     its interior neighbours in increasing id, as a CSC product sums it."""
-    G = green_solve(d, x).values
-    M = d.interior_count
-    w = np.bincount(_neighbours(d).T.ravel(), weights=np.repeat(0.25 * G, 4),
-                    minlength=M + d.boundary_count)
-    return w[M:]
+    mg = _multigrid(d)
+    return mg.neighbour_sum(0.25 * _green(d, x))[mg.boundary]

@@ -10,8 +10,8 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from pacgreen import (build_geometry, build_lattice_domain, green_discrete,
-                      green_solve)
+from pacgreen import (ExperimentConfig, build_geometry, build_lattice_domain,
+                      green_discrete, green_solve, rate_sweep)
 from pacgreen.cli import atomic_write_text, dispatch, render_rate_plot
 from pacgreen.errors import PlotError
 
@@ -139,6 +139,20 @@ class TestRateCommand:
         assert float(summary[1].split(",")[4]) == 1.0
         root = ET.parse(svg).getroot()
         assert root.tag.endswith("svg")
+        texts = [e.text for e in root.iter() if e.tag.endswith("text")]
+        assert "log(1/n)" in texts and "log(corrected sup error)" in texts
+        # the dots sit at the corrected sup errors against 1/n: pixels are
+        # affine in the logs along each axis
+        px, py = np.array([(float(e.get("cx")), float(e.get("cy")))
+                           for e in root.iter() if e.get("class") == "datum"]).T
+        points = rate_sweep(ExperimentConfig(alphas=(math.pi,),
+                                             ns=(8, 12, 16)))[0].points
+        for pixels, values in (
+                (px, [1.0 / p.n for p in points]),
+                (py, [p.corrected_sup_error for p in points])):
+            v = np.log(values)
+            assert np.allclose((pixels - pixels[0]) / (pixels[-1] - pixels[0]),
+                               (v - v[0]) / (v[-1] - v[0]), atol=1e-4)
         man = json.loads((tmp_path / "rates.csv.manifest.json").read_text())
         assert len(man["outputs"]) == 3
         assert man["seed"] is None
@@ -226,6 +240,7 @@ class TestRenderPlot:
         assert len(dots) == 6
         assert len(refs) == 2
         assert "0" in texts and format(math.pi, ".17g") in texts
+        assert "log(1/n)" in texts
 
     def test_empty_data(self):
         with pytest.raises(PlotError):

@@ -17,8 +17,8 @@ from pacgreen import (ConvergenceError, DomainError, WalkRunConfig,
                       green_via_potential, lattice_domain_from_sites)
 from pacgreen.domain import _BYTES_PER_CELL
 from pacgreen.green_discrete import (MAX_ITERATIONS, RESIDUAL_TOLERANCE,
-                                     _cg, _coupling, _exit_weights,
-                                     _gauss_seidel, _multigrid, _operator)
+                                     _cg, _coupling, _exit_weights, _gather,
+                                     _gauss_seidel, _multigrid, _scatter)
 
 PI = math.pi
 
@@ -54,6 +54,12 @@ def pacman_a03():
 @pytest.fixture(scope="module")
 def pacman_a25():
     return build_lattice_domain(build_geometry(2.5, 24))
+
+
+@pytest.fixture(scope="module")
+def pacman_slit16():
+    # boundary sites on the slit have interior neighbours on both sides
+    return build_lattice_domain(build_geometry(0.0, 16))
 
 
 def absorbing_chain_green(d, w):
@@ -109,6 +115,14 @@ def origin_system(d):
     return A, b
 
 
+def grid_system(d):
+    """origin_system on the solver's grid, which CG and the V-cycle work
+    on: the sparse (I - P) between the solver's own gather and scatter,
+    and the scattered right-hand side."""
+    A, b = origin_system(d)
+    return (lambda v: _scatter(d, A @ _gather(d, v))), _scatter(d, b), A, b
+
+
 class TestGreenSolve:
     def test_single_site_is_one(self, single_domain):
         assert green_solve(single_domain, (0, 0)).value_at((0, 0)) == pytest.approx(1.0, abs=1e-12)
@@ -136,6 +150,26 @@ class TestGreenSolve:
         b = green_solve(pacman16, (0, 0)).values
         assert np.array_equal(a, b)
 
+    def test_solve_ignores_blas_threads(self):
+        # CG's inner products, the coarsest grid's inverse and its product
+        # are summed in numpy's own loops; through BLAS and LAPACK this
+        # solve changes bits between one and two threads
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        code = ("import hashlib, math, sys, pacgreen as p\n"
+                "d = p.build_lattice_domain(p.build_geometry(math.pi / 2, 64))\n"
+                "G = p.green_solve(d, (0, 0)).values\n"
+                "sys.stdout.write(hashlib.sha256(G.tobytes()).hexdigest())")
+        out = []
+        for threads in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-c", code],
+                env=dict(os.environ, PYTHONPATH=src,
+                         OPENBLAS_NUM_THREADS=threads),
+                capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            out.append(proc.stdout)
+        assert out[0] and out[0] == out[1]
+
     def test_source_must_be_interior(self, pacman16):
         with pytest.raises(DomainError):
             green_solve(pacman16, (10 ** 6, 0))
@@ -158,9 +192,9 @@ class TestGreenSolve:
 
     def test_cg_convergence_error(self, pacman16):
         # CG needs about 10 iterations here
-        A, b = origin_system(pacman16)
+        A, b, _, _ = grid_system(pacman16)
         with pytest.raises(ConvergenceError) as err:
-            _cg(A.dot, b, _multigrid(pacman16), RESIDUAL_TOLERANCE, 2)
+            _cg(A, b, _multigrid(pacman16), RESIDUAL_TOLERANCE, 2)
         assert err.value.residual > 0
         assert err.value.iterations == 2
 
@@ -243,19 +277,37 @@ class TestDirichlet:
 
 
 class TestOperator:
-    @pytest.mark.parametrize("domain", ["pacman16", "plus_domain"])
+    @pytest.mark.parametrize("domain", [
+        "pacman16", "plus_domain", "single_domain", "line_domain",
+        "pacman_a03", "pacman_a25", "pacman_slit16"])
     def test_equals_sparse_products_bit_for_bit(self, domain, request):
         # the stencil sums each row in the CSR order, so the solves repeat
-        # those of a sparse-matrix solver to the last bit
+        # those of a sparse-matrix solver to the last bit; between them the
+        # domains put boundary sites in the halo rows and columns of the
+        # solver's grid, and at alpha = 0 on both sides of the slit
         d = request.getfixturevalue(domain)
         A, B = sparse_system(d)
         rng = np.random.default_rng(5)
         x = rng.standard_normal(d.interior_count)
         h = rng.standard_normal(d.boundary_count)
-        assert _operator(d, x).tobytes() == (A @ x).tobytes()
-        assert _coupling(d, h).tobytes() == (B @ h).tobytes()
-        G = green_solve(d, (1, 0)).values
-        assert _exit_weights(d, (1, 0)).tobytes() == (B.T @ G).tobytes()
+        Ax = _gather(d, _multigrid(d).operator(_scatter(d, x)))
+        assert Ax.tobytes() == (A @ x).tobytes()
+        assert _gather(d, _coupling(d, h)).tobytes() == (B @ h).tobytes()
+        w = (1, 0) if d.interior_index((1, 0)) >= 0 else d.interior[0]
+        G = green_solve(d, w).values
+        assert _exit_weights(d, w).tobytes() == (B.T @ G).tobytes()
+
+    def test_grid_vectors_vanish_off_the_sites(self, pacman_slit16):
+        # CG's inner products run over the whole grid, so (I - P) and B
+        # must leave every other cell at zero
+        d = pacman_slit16
+        mg = _multigrid(d)
+        rng = np.random.default_rng(7)
+        off = np.ones(mg.top.size, dtype=bool)
+        off[mg.sites] = False
+        Ax = mg.operator(_scatter(d, rng.standard_normal(d.interior_count)))
+        b = _coupling(d, rng.standard_normal(d.boundary_count))
+        assert not Ax[off].any() and not b[off].any()
 
     def test_package_runs_without_scipy(self):
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -277,11 +329,11 @@ class TestPreconditionedCG:
         # 10-14 iterations here, flat in n and alpha
         for n in (32, 64, 128):
             d = build_lattice_domain(build_geometry(alpha, n))
-            A, b = origin_system(d)
-            x, iterations = _cg(A.dot, b, _multigrid(d), RESIDUAL_TOLERANCE,
-                                MAX_ITERATIONS)
+            A_grid, b_grid, A, b = grid_system(d)
+            x, iterations = _cg(A_grid, b_grid, _multigrid(d),
+                                RESIDUAL_TOLERANCE, MAX_ITERATIONS)
             assert iterations <= 20
-            assert np.max(np.abs(b - A @ x)) <= RESIDUAL_TOLERANCE
+            assert np.max(np.abs(b - A @ _gather(d, x))) <= RESIDUAL_TOLERANCE
 
     @pytest.mark.parametrize("domain", [
         "single_domain", "plus_domain", "line_domain", "pacman16",
@@ -295,7 +347,8 @@ class TestPreconditionedCG:
         rng = np.random.default_rng(11)
         for _ in range(3):
             u, v = rng.standard_normal((2, d.interior_count))
-            Mu, Mv = M(u), M(v)
+            # the cycle returns its own buffer, so each result is copied
+            Mu, Mv = (_gather(d, M(_scatter(d, w))) for w in (u, v))
             assert (abs(u @ Mv - Mu @ v)
                     <= 1e-12 * np.linalg.norm(u) * np.linalg.norm(Mv))
             assert v @ Mv > 0
