@@ -35,7 +35,7 @@ TIP_GUARD = 1e-9
 # alpha = 0, the largest domain (71.0 and 70.3 at alpha = pi), plus 1 for the
 # walk engine's level grid.  The domain, its solver grid and the field
 # retain 98.5 and 98.3 of them.  Over the build, the solve and the level
-# grid, resident memory grows by 121 bytes per cell at n = 128 and 116 at
+# grid, resident memory grows by 118 bytes per cell at n = 128 and 114 at
 # n = 256.  Through the potential-kernel representation, in a fresh process
 # whose first call also fills the kernel table, the peak is 168 at n = 128
 # and 249 at n = 32, where the table's fixed temporaries weigh most.

@@ -437,11 +437,9 @@ def _solve(d: LatticeDomain, b):
 
 def _green(d: LatticeDomain, w):
     """G(., w) on the solver's grid."""
-    i = d.require_interior(w)
-    mg = _multigrid(d)
-    b = np.zeros(mg.top.size)
-    b[mg.sites[i]] = 1.0
-    return _solve(d, b)
+    b = np.zeros(d.interior_count)
+    b[d.require_interior(w)] = 1.0
+    return _solve(d, _scatter(d, b))
 
 
 def green_solve(d: LatticeDomain, w) -> ScalarField:

@@ -156,7 +156,7 @@ class TestGreenSolve:
         # solve changes bits between one and two threads
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         code = ("import hashlib, math, sys, pacgreen as p\n"
-                "d = p.build_lattice_domain(p.build_geometry(math.pi / 2, 64))\n"
+                "d = p.build_lattice_domain(p.build_geometry(math.pi / 2, 32))\n"
                 "G = p.green_solve(d, (0, 0)).values\n"
                 "sys.stdout.write(hashlib.sha256(G.tobytes()).hexdigest())")
         out = []
