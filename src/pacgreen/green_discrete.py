@@ -7,11 +7,12 @@ quarter-weight adjacency.  Fields are stored over interior sites only, in
 the domain's fixed (y, x) ordering.
 
 No matrix is assembled.  The solver works on the finest grid of its
-multigrid V-cycle, built once per domain: four flat arrays, one per
-parity class of the sites (see _Grid), in which every neighbour of a
-class's sites is a contiguous slice.  (I - P), the boundary coupling B
-(boundary data to right-hand side), its transpose (Green's field to exit
-law) and the V-cycle's smoothing are sums of such slices.  CG on (I - P),
+multigrid V-cycle, built once per domain: one flat array of four
+planes, one per parity class of the sites (see _Grid), in which every
+neighbour of a class's sites is a contiguous slice.  (I - P), the
+boundary coupling B (boundary data to right-hand side), its transpose
+(Green's field to exit law) and the V-cycle's smoothing are sums of such
+slices.  CG on (I - P),
 preconditioned by one V-cycle, runs on vectors in that layout: a solve
 scatters its right-hand side into it once and gathers the solution once.
 """
