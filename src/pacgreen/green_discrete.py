@@ -183,7 +183,8 @@ class _Level:
     def __init__(self, grid: _Grid, coarse: _Grid):
         C, S = grid.row, grid.span
         self.tmp = np.empty(S)
-        at_sites, at_centres = np.zeros(grid.plane + 1), np.zeros(grid.plane + 1)
+        at_sites = np.zeros(grid.plane + 1)
+        at_centres = np.zeros(grid.plane + 1)
         # plane 0's own slice starts at C - 1 and plane 3's at 0; the
         # centres sit two cells in, so the first coarse site's centre at
         # (i - 1, j - 1) is in the array
