@@ -18,7 +18,7 @@ import sys
 import tempfile
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -175,11 +175,9 @@ def _cmd_field(args) -> int:
     G = green_solve(d, args.source)
     rows = []
     if args.with_continuous:
-        zc = d.interior[:, 0] + 1j * d.interior[:, 1]
-        src = complex(args.source[0], args.source[1])
         gv = np.full(d.interior_count, np.nan)
-        ok = zc != src
-        gv[ok] = green_pacman_many(g, src, zc[ok])
+        ok = np.any(d.interior != args.source, axis=1)
+        gv[ok] = green_pacman_many(g, args.source, d.interior[ok])
         for (x, y), Gv, gval in zip(d.interior, G.values, gv):
             diff = abs(Gv - (2 / math.pi) * gval) if np.isfinite(gval) else float("nan")
             rows.append((int(x), int(y), float(Gv), float(gval), diff))
@@ -334,11 +332,17 @@ _COMMANDS = {"potential": _cmd_potential, "field": _cmd_field,
              "arcs": _cmd_arcs, "rate": _cmd_rate, "expdiff": _cmd_expdiff}
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``dispatch`` uses, built once per process: parsing
+    leaves it unchanged."""
+    return build_parser()
+
+
 def dispatch(argv) -> int:
     """Parse argv, validate, run; 0 on success, 2 on usage, 1 on runtime."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:

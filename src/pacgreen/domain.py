@@ -35,9 +35,9 @@ TIP_GUARD = 1e-9
 # alpha = 0, the largest domain (71.0 and 70.3 at alpha = pi), plus 1 for the
 # walk engine's level grid.  The domain, its solver grid and the field
 # retain 98.5 and 98.3 of them.  Over the build, the solve and the level
-# grid, resident memory grows by 118 bytes per cell at n = 128 and 114 at
+# grid, resident memory grows by 110 bytes per cell at n = 128 and 106 at
 # n = 256.  Through the potential-kernel representation, in a fresh process
-# whose first call also fills the kernel table, the peak is 168 at n = 128
+# whose first call also fills the kernel table, the peak is 162 at n = 128
 # and 249 at n = 32, where the table's fixed temporaries weigh most.
 _BYTES_PER_CELL = 270
 
@@ -104,8 +104,6 @@ def sector_mask(g: PacmanGeometry, wx, wy):
     wx = np.asarray(wx)
     wy = np.asarray(wy)
     s, c = math.sin(g.alpha), math.cos(g.alpha)
-    r2 = wx * wx + wy * wy
-    inside_disk = (r2 > 0) & (r2 < (2 * g.n) ** 2)
     # the theta = 0 edge
     on_positive_axis = (wy == 0) & (wx > 0)
     # the theta = 2 pi - alpha edge and the wedge below it: rotate by alpha
@@ -115,7 +113,14 @@ def sector_mask(g: PacmanGeometry, wx, wy):
     # a few ulps off it; lattice points off an edge sit far above this
     on_edge = np.abs(ry) <= 1e-12 * (np.abs(wx) + np.abs(wy))
     wedge = (wy <= 0) & np.where(on_edge, wx * c - wy * s > 0, ry > 0)
-    return inside_disk & ~on_positive_axis & ~wedge
+    return _inside_disk(g, wx, wy) & ~on_positive_axis & ~wedge
+
+
+def _inside_disk(g: PacmanGeometry, wx, wy):
+    """0 < |w| < 2n: all of ``sector_mask`` above the axis, where neither
+    edge nor the wedge reaches for any alpha in [0, pi]."""
+    r2 = wx * wx + wy * wy
+    return (r2 > 0) & (r2 < (2 * g.n) ** 2)
 
 
 def _as_complex(z) -> complex:
@@ -246,11 +251,12 @@ class LatticeDomain:
 
 
 def _from_mask(g: PacmanGeometry, interior: np.ndarray, off: int) -> LatticeDomain:
-    """Lattice domain from a w-frame interior mask indexed [wx + off, wy + off].
+    """Lattice domain from a w-frame interior mask indexed [wy + off, wx + off].
 
     The mask must leave a one-cell margin so every boundary site lands on
     the grid.  Boundary sites are the non-interior 4-neighbours of interior
-    sites.
+    sites.  The mask's rows are y, so a row-major scan lists sites in the
+    domain's (y, x) order.
     """
     near = np.zeros_like(interior)
     near[1:, :] |= interior[:-1, :]
@@ -258,20 +264,22 @@ def _from_mask(g: PacmanGeometry, interior: np.ndarray, off: int) -> LatticeDoma
     near[:, 1:] |= interior[:, :-1]
     near[:, :-1] |= interior[:, 1:]
     boundary = near & ~interior
-    grid = np.full(interior.shape, -1, dtype=np.int64)
+    rows, cols = interior.shape
+    # the site grid is indexed [wx + off, wy + off]
+    grid = np.full(rows * cols, -1, dtype=np.int64)
 
     def sites(mask, first):
-        # argwhere on the transposed mask yields (y, x) lexicographic order
-        wy, wx = (np.argwhere(mask.T) - off).T
-        grid[wx + off, wy + off] = first + np.arange(wx.size)
-        return np.stack([wx - g.z0[0], wy - g.z0[1]], axis=1), wx, wy
+        cells = np.flatnonzero(mask)
+        y = cells // cols
+        x = cells - y * cols
+        grid[x * rows + y] = first + np.arange(cells.size)
+        return np.stack([x - (off + g.z0[0]), y - (off + g.z0[1])], axis=1), x, y
 
     int_coords, _, _ = sites(interior, 0)
-    bnd_coords, bwx, bwy = sites(boundary, len(int_coords))
-    arcs = arc_index_of_radius(g, np.hypot(bwx, bwy))
+    bnd_coords, bx, by = sites(boundary, len(int_coords))
+    arcs = arc_index_of_radius(g, np.hypot(bx - off, by - off))
     return LatticeDomain(geometry=g, interior=int_coords, boundary=bnd_coords,
-                         boundary_arc=arcs, grid=grid.ravel(),
-                         stride=grid.shape[1],
+                         boundary_arc=arcs, grid=grid, stride=rows,
                          _origin=(off + g.z0[0], off + g.z0[1]))
 
 
@@ -289,7 +297,7 @@ def lattice_domain_from_sites(g: PacmanGeometry, interior_sites) -> LatticeDomai
     w += np.array(g.z0, dtype=np.int64)
     off = int(np.abs(w).max()) + 2
     mask = np.zeros((2 * off + 1, 2 * off + 1), dtype=bool)
-    mask[w[:, 0] + off, w[:, 1] + off] = True
+    mask[w[:, 1] + off, w[:, 0] + off] = True
     return _from_mask(g, mask, off)
 
 
@@ -308,4 +316,8 @@ def build_lattice_domain(g: PacmanGeometry) -> LatticeDomain:
                               "for its lattice and a solve, over the "
                               f"{have / 2**30:.3g} GiB of physical memory")
     ax = np.arange(-off, off + 1, dtype=np.int64)
-    return _from_mask(g, sector_mask(g, ax[:, None], ax[None, :]), off)
+    mask = np.empty((ax.size, ax.size), dtype=bool)      # [wy, wx]
+    lower, upper = ax[:off + 1, None], ax[off + 1:, None]
+    mask[:off + 1] = sector_mask(g, ax, lower)
+    mask[off + 1:] = _inside_disk(g, ax, upper)
+    return _from_mask(g, mask, off)

@@ -112,12 +112,10 @@ def _rate_point(alpha: float, n: int) -> RatePoint:
         raise DomainError("origin is not interior for this geometry")
     d = build_lattice_domain(g)
     G = green_solve(d, (0, 0))
-    zc = d.interior[:, 0] + 1j * d.interior[:, 1]
     rmin = region_min_radius(g)
-    mask = np.abs(zc) >= rmin
-    gvals = green_pacman_many(g, 0j, zc[mask])
-    diff = G.values[mask] - (2.0 / math.pi) * gvals
-    w = d.interior[mask]
+    region = np.flatnonzero(np.hypot(d.interior[:, 0], d.interior[:, 1]) >= rmin)
+    w = d.interior.take(region, axis=0)
+    diff = G.values[region] - (2.0 / math.pi) * green_pacman_many(g, 0j, w)
     err = np.abs(diff)
     corrected = np.abs(diff + kernel_remainder(w[:, 0], w[:, 1]))
     return RatePoint(n=n, sup_error=float(err.max()),

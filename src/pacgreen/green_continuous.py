@@ -15,6 +15,7 @@ law then give everything in closed form:
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -24,19 +25,56 @@ from .errors import DomainError, SingularityError
 from .walk_mc import ArcMeasure
 
 
-def map_to_halfdisk(g: PacmanGeometry, z) -> complex:
-    """Power map ((z + z0)/2n)^{c_alpha}, argument taken in [0, 2 pi)."""
+def _power_map(g: PacmanGeometry, wx, wy):
+    """Modulus and argument of ((w)/2n)^{c_alpha} at w-frame points
+    (tip at 0), the argument of w taken in [0, 2 pi), in real arithmetic
+    on float arrays: one arctan2, one log of |w / 2n|^2 and one exp."""
+    c = g.c_alpha
+    phi = np.arctan2(wy, wx)
+    np.add(phi, 2.0 * math.pi, out=phi, where=phi < 0)
+    phi *= c
+    rho = np.multiply(wx, wx)
+    rho += np.multiply(wy, wy)
+    rho /= g.radius * g.radius
+    np.log(rho, out=rho)
+    rho *= 0.5 * c
+    np.exp(rho, out=rho)
+    return rho, phi
+
+
+def _joukowski(rho, phi):
+    """Real and imaginary parts of -(u + 1/u) for u = rho e^{i phi}, on
+    float arrays; overwrites rho and phi."""
+    inv = 1.0 / rho
+    im = np.sin(phi)
+    im *= inv - rho
+    rho += inv
+    rho *= np.cos(phi, out=phi)
+    np.negative(rho, out=rho)
+    return rho, im
+
+
+def _halfplane_green(px, py, qx, qy):
+    """log|p - conj(q)| - log|p - q| elementwise, from the real and
+    imaginary parts: half the log of the ratio of the squared distances."""
+    dx2 = np.square(px - qx)
+    return 0.5 * np.log((dx2 + np.square(py + qy))
+                        / (dx2 + np.square(py - qy)))
+
+
+def _polar_image(g: PacmanGeometry, z):
+    """Modulus and argument of the power map at one z-frame point, as
+    1-element arrays; DomainError at the tip."""
     w = _as_complex(z) + g.z0_complex
     if abs(w) <= TIP_GUARD:
         raise DomainError("point coincides with the re-entrant tip")
-    return complex(_map_many(g, np.complex128(w)))
+    return _power_map(g, np.array([w.real]), np.array([w.imag]))
 
 
-def _map_many(g: PacmanGeometry, w: np.ndarray) -> np.ndarray:
-    """Vectorized power map on w-frame complex points (tip at 0)."""
-    theta = np.angle(w) % (2.0 * math.pi)
-    c = g.c_alpha
-    return (np.abs(w) / g.radius) ** c * np.exp(1j * c * theta)
+def map_to_halfdisk(g: PacmanGeometry, z) -> complex:
+    """Power map ((z + z0)/2n)^{c_alpha}, argument taken in [0, 2 pi)."""
+    rho, phi = _polar_image(g, z)
+    return cmath.rect(rho[0], phi[0])
 
 
 def halfdisk_to_halfplane(u):
@@ -47,13 +85,10 @@ def halfdisk_to_halfplane(u):
     u = np.asarray(u, dtype=np.complex128)
     if np.any(np.abs(u) <= TIP_GUARD):
         raise DomainError("map is singular at u = 0")
-    q = -(u + 1.0 / u)
+    flat = u.reshape(-1)
+    re, im = _joukowski(np.abs(flat), np.angle(flat))
+    q = (re + 1j * im).reshape(u.shape)
     return complex(q) if q.ndim == 0 else q
-
-
-def _halfplane_green(a, b):
-    """log|a - conj(b)| - log|a - b|, elementwise."""
-    return np.log(np.abs(a - np.conj(b))) - np.log(np.abs(a - b))
 
 
 def green_halfplane(a, b) -> float:
@@ -63,7 +98,7 @@ def green_halfplane(a, b) -> float:
         raise DomainError("both points must have positive imaginary part")
     if a == b:
         raise SingularityError("Green's function diverges on the diagonal")
-    return float(_halfplane_green(a, b))
+    return float(_halfplane_green(a.real, a.imag, b.real, b.imag))
 
 
 def green_halfdisk(u, v) -> float:
@@ -79,7 +114,8 @@ def green_halfdisk(u, v) -> float:
 
 
 def _to_halfplane(g: PacmanGeometry, z) -> complex:
-    return halfdisk_to_halfplane(map_to_halfdisk(g, z))
+    re, im = _joukowski(*_polar_image(g, z))
+    return complex(re[0], im[0])
 
 
 def green_pacman(g: PacmanGeometry, z, w) -> float:
@@ -89,18 +125,21 @@ def green_pacman(g: PacmanGeometry, z, w) -> float:
         raise DomainError("both points must be strictly interior")
     if zc == wc:
         raise SingularityError("Green's function diverges on the diagonal")
-    return float(green_pacman_many(g, zc, np.array([wc]))[0])
+    return float(green_pacman_many(g, zc, np.array([[wc.real, wc.imag]]))[0])
 
 
-def green_pacman_many(g: PacmanGeometry, z, w_arr: np.ndarray) -> np.ndarray:
-    """g(z, w) for one interior z against an array of interior points.
+def green_pacman_many(g: PacmanGeometry, z, w: np.ndarray) -> np.ndarray:
+    """g(z, w) for one interior z against interior points w, given as rows
+    (x, y) like ``LatticeDomain.interior``.
 
     Used for whole-field comparisons; callers must exclude w = z and the
     tip themselves.
     """
-    p = _to_halfplane(g, _as_complex(z))
-    q = halfdisk_to_halfplane(_map_many(g, np.asarray(w_arr) + g.z0_complex))
-    return _halfplane_green(p, q)
+    p = _to_halfplane(g, z)
+    w = np.asarray(w)
+    qx, qy = _joukowski(*_power_map(g, w[:, 0] + float(g.z0[0]),
+                                    w[:, 1] + float(g.z0[1])))
+    return _halfplane_green(p.real, p.imag, qx, qy)
 
 
 def cauchy_interval_measure(p, lo: float, hi: float) -> float:

@@ -111,7 +111,7 @@ class _Grid:
     are never written.
     """
 
-    def __init__(self, mask, sites=None):
+    def __init__(self, mask):
         self.mask = mask
         half_h, half_w = -(-mask.shape[0] // 2), -(-mask.shape[1] // 2)
         self.row = C = half_w + 1
@@ -125,16 +125,20 @@ class _Grid:
             ny = (2 * (1 - a) + b) * L - (1 - a)
             nx = (2 * a + 1 - b) * L + (1 - a) * (C - 1)
             self.starts.append((own, ny, ny + C, nx - (1 - b), nx + b))
-        self.sites = self.cells(*(np.nonzero(mask) if sites is None else sites))
+        # row-major over the mask, so in (y, x) order
+        self.sites = self.cells(np.arange(mask.shape[0])[:, None],
+                                np.arange(mask.shape[1]))[mask]
         self.u = np.zeros(self.size)
         self.f = np.zeros(self.size)
         self.quarter = np.zeros(self.size)
         self.quarter[self.sites] = 0.25
 
     def cells(self, y, x):
-        """Flat cells of box coordinates (y, x), each in -1 ... H or W."""
-        return ((2 * (y & 1) + (x & 1)) * self.plane
-                + ((y >> 1) + 1) * self.row + (x >> 1))
+        """Flat cells of box coordinates (y, x), each in -1 ... H or W;
+        the parts of y and of x are summed last, so broadcast (y, x) cost
+        one pass over the box."""
+        return ((2 * (y & 1) * self.plane + ((y >> 1) + 1) * self.row)
+                + ((x & 1) * self.plane + (x >> 1)))
 
     def views(self, a, k):
         """Plane k's own slice of flat array a, then its neighbour slices
@@ -278,18 +282,29 @@ class _VCycle:
     """
 
     def __init__(self, d: LatticeDomain):
-        x, y = (d.interior + np.asarray(d.geometry.z0)).T     # tip at 0
-        both = x | y     # a multiple of 2^k iff both coordinates are
-        depth = 0
-        while np.count_nonzero(both & ((1 << depth) - 1) == 0) > COARSEST_SITES:
+        M = d.interior_count
+        # the domain's interior mask, indexed [wx + ox, wy + oy]: the site
+        # grid's -1 reads as 2^64 - 1 unsigned
+        inside = (d.grid.view(np.uint64) < M).reshape(-1, d.stride)
+        z0 = d.geometry.z0
+        ox, oy = divmod(int(d.flat(np.negative(z0))), d.stride)   # w = 0
+        count, depth = M, 0
+        while count > COARSEST_SITES:
             depth += 1
+            s = 1 << depth
+            count = np.count_nonzero(inside[ox % s::s, oy % s::s])
         top = 1 << depth
-        x0, y0 = x.min() // top * top, y.min() // top * top
-        x, y = x - x0, y - y0
-        mask = np.zeros((-(-(y.max() + 1) // top) * top,
-                         -(-(x.max() + 1) // top) * top), dtype=bool)
-        mask[y, x] = True
-        grids = [_Grid(mask, (y, x))]
+        # sites come in (y, x) order: the first and last rows are the
+        # interior's lowest and highest
+        x = d.interior[:, 0]
+        xa, xb = x.min() + z0[0], x.max() + z0[0] + 1
+        ya, yb = d.interior[0, 1] + z0[1], d.interior[-1, 1] + z0[1] + 1
+        x0, y0 = xa // top * top, ya // top * top
+        mask = np.zeros((-(-(yb - y0) // top) * top,
+                         -(-(xb - x0) // top) * top), dtype=bool)
+        mask[ya - y0:yb - y0, xa - x0:xb - x0] = \
+            inside[xa + ox:xb + ox, ya + oy:yb + oy].T
+        grids = [_Grid(mask)]
         for _ in range(depth):
             grids.append(_Grid(grids[-1].mask[::2, ::2].copy()))
         self.levels = [_Level(g, coarse) for g, coarse in zip(grids, grids[1:])]
@@ -298,7 +313,7 @@ class _VCycle:
         self.inverse = _dense_inverse(c.shape, c.tobytes())
         # mask rows are y, so the mask's sites come in the domain's order
         self.sites = self.top.sites
-        bx, by = (d.boundary + np.asarray(d.geometry.z0)).T
+        bx, by = (d.boundary + np.asarray(z0)).T
         self.boundary = self.top.cells(by - y0, bx - x0)
         self.on_site = 4.0 * self.top.quarter     # 1 on sites, 0 elsewhere
         self.q = np.zeros(self.top.size)

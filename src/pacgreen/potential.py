@@ -158,14 +158,20 @@ def kernel_remainder(xs, ys) -> np.ndarray:
     ``potential_many``.  Raises DomainError at the origin, where eps is
     singular.
     """
-    x1 = np.abs(np.asarray(xs, dtype=np.int64))
-    x2 = np.abs(np.asarray(ys, dtype=np.int64))
-    if np.any((x1 == 0) & (x2 == 0)):
+    xs = np.asarray(xs, dtype=np.int64)
+    ys = np.asarray(ys, dtype=np.int64)
+    # arrays of our own, even for scalars: the cell index is built in them
+    x1 = np.abs(xs, out=np.empty_like(xs))
+    x2 = np.abs(ys, out=np.empty_like(ys))
+    hi = np.maximum(x1, x2)
+    if not hi.size:
+        return np.zeros(hi.shape)
+    if not hi.all():
         raise DomainError("kernel remainder is singular at x = 0")
-    hi, lo = np.maximum(x1, x2), np.minimum(x1, x2)
-    out = np.zeros(hi.shape, dtype=np.float64)
-    if hi.size:
-        eps = _table.upto(int(hi.max()))
-        near = hi <= EXACT_RADIUS
-        out[near] = eps[hi[near], lo[near]]
-    return out
+    eps = _table.upto(int(hi.max()))
+    # one flat lookup; points beyond EXACT_RADIUS read the origin's 0
+    lo = np.minimum(x1, x2, out=x1)
+    cells = np.multiply(hi, EXACT_RADIUS + 1, out=x2)
+    cells += lo
+    cells[hi > EXACT_RADIUS] = 0
+    return np.asarray(eps.take(cells))

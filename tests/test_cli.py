@@ -12,7 +12,8 @@ import pytest
 
 from pacgreen import (ExperimentConfig, build_geometry, build_lattice_domain,
                       green_discrete, green_solve, rate_sweep)
-from pacgreen.cli import atomic_write_text, dispatch, render_rate_plot
+from pacgreen.cli import (_parser, atomic_write_text, build_parser, dispatch,
+                          render_rate_plot)
 from pacgreen.errors import PlotError
 
 
@@ -188,6 +189,35 @@ class TestExpdiffCommand:
                        "--x", "0,0", "--y", "0,0", "--trials", "10",
                        "--seed", "1", "--out", str(tmp_path / "e.csv")])
         assert rc == 2
+
+
+class TestParserReuse:
+    def test_calls_after_a_usage_error(self, tmp_path, capsys):
+        # dispatch parses with one parser per process; a failed parse must
+        # leave it able to parse the next calls as a fresh one would
+        g = build_geometry(math.pi, 64)
+        zx = f"{26 - g.z0[0]},{4 - g.z0[1]}"
+        calls = {"r.csv": ["rate", "--alphas", "3.141592653589793",
+                           "--ns", "8,12,16"],
+                 "e.csv": ["expdiff", "--alpha", "3.141592653589793",
+                           "--n", "64", "--x", zx, "--y", zx,
+                           "--trials", "200", "--seed", "11"]}
+
+        def run(tag):
+            outputs = {}
+            for name, argv in calls.items():
+                out = tmp_path / f"{tag}-{name}"
+                assert dispatch(argv + ["--out", str(out)]) == 0
+                outputs[name] = out.read_bytes()
+            return outputs
+
+        before = run("before")
+        assert dispatch(["rate", "--alphas", "pi", "--ns", "8,12,16",
+                         "--out", str(tmp_path / "x.csv")]) == 2
+        assert "bad float list" in capsys.readouterr().err
+        assert run("after") == before
+        assert _parser() is _parser()
+        assert build_parser() is not build_parser()
 
 
 class TestExitCodes:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from pacgreen import (DomainError, arc_index, bm_arc_measure, build_geometry,
                       build_lattice_domain, c_alpha, contains, green_pacman,
                       green_solve, lattice_domain_from_sites, nearest_boundary)
-from pacgreen.domain import _BYTES_PER_CELL, sector_mask
+from pacgreen.domain import _BYTES_PER_CELL, arc_index_of_radius, sector_mask
 from pacgreen.walk_mc import _jump_tables
 
 PI = math.pi
@@ -213,6 +213,53 @@ def assert_site_grid(d):
     for site, v in zip(d.unflat(cells), d.grid):
         assert d.interior_index(site) == (v if 0 <= v < M else -1)
         assert d.boundary_index(site) == (v - M if v >= M else -1)
+
+
+def whole_box_scan(g):
+    """The site arrays and grid from sector_mask over the whole (4n + 3)^2
+    box, indexed [wx, wy], listed by argwhere on its transpose."""
+    off = 2 * g.n + 1
+    ax = np.arange(-off, off + 1, dtype=np.int64)
+    interior = sector_mask(g, ax[:, None], ax[None, :])
+    near = np.zeros_like(interior)
+    near[1:, :] |= interior[:-1, :]
+    near[:-1, :] |= interior[1:, :]
+    near[:, 1:] |= interior[:, :-1]
+    near[:, :-1] |= interior[:, 1:]
+    grid = np.full(interior.shape, -1, dtype=np.int64)
+    sites, first = [], 0
+    for mask in (interior, near & ~interior):
+        wy, wx = (np.argwhere(mask.T) - off).T
+        grid[wx + off, wy + off] = first + np.arange(wx.size)
+        first += wx.size
+        sites.append(np.stack([wx - g.z0[0], wy - g.z0[1]], axis=1))
+    bw = sites[1] + np.asarray(g.z0)
+    arcs = arc_index_of_radius(g, np.hypot(bw[:, 0], bw[:, 1]))
+    return {"interior": sites[0], "boundary": sites[1], "boundary_arc": arcs,
+            "grid": grid.ravel()}
+
+
+def assert_whole_box_scan(g):
+    d = build_lattice_domain(g)
+    for name, want in whole_box_scan(g).items():
+        got = getattr(d, name)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+        assert got.tobytes() == want.tobytes(), name
+
+
+class TestSiteSet:
+    """The build scans half the box with sector_mask and the other half
+    with the disk test alone; the sites must be the whole box's."""
+
+    @pytest.mark.parametrize("n", [8, 23, 40])
+    @pytest.mark.parametrize("alpha", [0.0, PI / 4, PI / 2, 3 * PI / 4, PI])
+    def test_lattice_edge_angles(self, alpha, n):
+        assert_whole_box_scan(build_geometry(alpha, n))
+
+    @settings(max_examples=25, deadline=None)
+    @given(alpha=ALPHAS, n=st.integers(8, 40))
+    def test_any_angle(self, alpha, n):
+        assert_whole_box_scan(build_geometry(alpha, n))
 
 
 class TestSiteGrid:

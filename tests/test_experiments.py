@@ -1,11 +1,13 @@
+import cmath
 import math
 
+import numpy as np
 import pytest
 
 from pacgreen import (DomainError, ExperimentConfig, FitError, WalkRunConfig,
-                      build_geometry, expdiff_estimate, fit_loglog,
-                      nearest_boundary, prop_bound_scale, rate_sweep,
-                      region_min_radius)
+                      build_geometry, build_lattice_domain, expdiff_estimate,
+                      experiments, fit_loglog, nearest_boundary,
+                      prop_bound_scale, rate_sweep, region_min_radius)
 
 PI = math.pi
 
@@ -53,6 +55,43 @@ class TestExperimentConfig:
             ExperimentConfig(alphas=(0.0,), ns=(4, 16, 32))
         with pytest.raises(DomainError):
             ExperimentConfig(alphas=(0.0,), ns=(16, 16, 32))
+
+
+def chain_reference(g, z, w):
+    """g(z, w) by the map chain in cmath, point by point: the argument in
+    [0, 2 pi), the power map, -(u + 1/u), log|p - conj q| - log|p - q|."""
+    def image(x, y):
+        v = complex(x + g.z0[0], y + g.z0[1])
+        u = (abs(v) / g.radius) ** g.c_alpha * cmath.exp(
+            1j * g.c_alpha * (cmath.phase(v) % (2 * math.pi)))
+        return -(u + 1 / u)
+    p = image(*z)
+    return np.array([math.log(abs(p - q.conjugate())) - math.log(abs(p - q))
+                     for q in (image(int(x), int(y)) for x, y in w)])
+
+
+class TestRatePoint:
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, PI / 2, 2.0, PI])
+    def test_region_and_closed_form(self, alpha, monkeypatch):
+        # the region is every interior site with hypot(x, y) >= rmin, and
+        # the closed form on it is the map chain's
+        original, calls = experiments.green_pacman_many, []
+
+        def recorded(g, z, w):
+            calls.append((np.array(w), original(g, z, w)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(experiments, "green_pacman_many", recorded)
+        experiments._rate_point(alpha, 32)
+        (w, values), = calls
+        g = build_geometry(alpha, 32)
+        d = build_lattice_domain(g)
+        x, y = d.interior.T
+        want = d.interior[np.hypot(x, y) >= region_min_radius(g)]
+        assert len(w) == len(want)
+        assert np.array_equal(w, want)
+        ref = chain_reference(g, (0, 0), want)
+        assert np.max(np.abs(values - ref)) <= 1e-12
 
 
 class TestRateSweep:
