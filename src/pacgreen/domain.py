@@ -31,13 +31,13 @@ from .errors import DomainError
 TIP_GUARD = 1e-9
 
 # Peak bytes per cell of the (4n + 3)^2 grid for a lattice build followed by
-# a Green's solve, by tracemalloc: 132.3 at n = 128 and 132.0 at n = 256 for
-# alpha = 0, the largest domain (71.0 and 70.3 at alpha = pi), plus 1 for the
+# a Green's solve, by tracemalloc: 138.5 at n = 128 and 138.3 at n = 256 for
+# alpha = 0, the largest domain (74.1 and 73.5 at alpha = pi), plus 1 for the
 # walk engine's level grid.  The domain, its solver grid and the field
 # retain 98.5 and 98.3 of them.  Over the build, the solve and the level
 # grid, resident memory grows by 110 bytes per cell at n = 128 and 106 at
 # n = 256.  Through the potential-kernel representation, in a fresh process
-# whose first call also fills the kernel table, the peak is 162 at n = 128
+# whose first call also fills the kernel table, the peak is 150 at n = 128
 # and 249 at n = 32, where the table's fixed temporaries weigh most.
 _BYTES_PER_CELL = 270
 

@@ -158,8 +158,8 @@ def kernel_remainder(xs, ys) -> np.ndarray:
     ``potential_many``.  Raises DomainError at the origin, where eps is
     singular.
     """
-    xs = np.asarray(xs, dtype=np.int64)
-    ys = np.asarray(ys, dtype=np.int64)
+    xs, ys = np.broadcast_arrays(np.asarray(xs, dtype=np.int64),
+                                 np.asarray(ys, dtype=np.int64))
     # arrays of our own, even for scalars: the cell index is built in them
     x1 = np.abs(xs, out=np.empty_like(xs))
     x2 = np.abs(ys, out=np.empty_like(ys))
