@@ -26,7 +26,7 @@ from .walk_mc import ArcMeasure
 
 
 def _power_map(g: PacmanGeometry, wx, wy):
-    """Modulus and argument of ((w)/2n)^{c_alpha} at w-frame points
+    """Modulus and argument of (w / 2n)^{c_alpha} at w-frame points
     (tip at 0), the argument of w taken in [0, 2 pi), in real arithmetic
     on float arrays: one arctan2, one log of |w / 2n|^2 and one exp."""
     c = g.c_alpha
