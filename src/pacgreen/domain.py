@@ -31,11 +31,11 @@ from .errors import DomainError
 TIP_GUARD = 1e-9
 
 # Peak bytes per cell of the (4n + 3)^2 grid for a lattice build followed by
-# a Green's solve, by tracemalloc: 138.5 at n = 128 and 138.3 at n = 256 for
-# alpha = 0, the largest domain (74.1 and 73.5 at alpha = pi), plus 1 for the
+# a Green's solve, by tracemalloc: 132.3 at n = 128 and 132.0 at n = 256 for
+# alpha = 0, the largest domain (71.0 and 70.3 at alpha = pi), plus 1 for the
 # walk engine's level grid.  The domain, its solver grid and the field
 # retain 98.5 and 98.3 of them.  Over the build, the solve and the level
-# grid, resident memory grows by 110 bytes per cell at n = 128 and 106 at
+# grid, resident memory grows by 109 bytes per cell at n = 128 and 106 at
 # n = 256.  Through the potential-kernel representation, in a fresh process
 # whose first call also fills the kernel table, the peak is 150 at n = 128
 # and 249 at n = 32, where the table's fixed temporaries weigh most.
@@ -181,10 +181,11 @@ class LatticeDomain:
     so that solver iterations are reproducible.  Boundary sites are the
     non-interior lattice points one step from an interior point.
 
-    ``grid`` is the site grid: a flattened w-frame array whose cell
-    holds the index i of an interior site (0 <= i < M), M + j for boundary
-    site j, or -1.  A step in x moves ``stride`` cells, a step in y one
-    cell; ``flat`` and ``unflat`` convert between z-frame sites and cells.
+    ``grid`` is the site grid: the w-frame square of stride^2 cells
+    centred on the tip, flattened with y as its rows.  Its cell holds the
+    index i of an interior site (0 <= i < M), M + j for boundary site j,
+    or -1; ``flat`` and ``unflat`` convert between z-frame sites and
+    cells, and ``interior_mask`` is its interior in two dimensions.
     """
 
     geometry: PacmanGeometry
@@ -193,7 +194,6 @@ class LatticeDomain:
     boundary_arc: np.ndarray    # (B,) int64 in 1..N
     grid: np.ndarray = field(repr=False)    # flat int64 site grid
     stride: int = field(repr=False)
-    _origin: tuple[int, int] = field(repr=False)   # (row, column) of z = 0
 
     @property
     def interior_count(self) -> int:
@@ -203,28 +203,40 @@ class LatticeDomain:
     def boundary_count(self) -> int:
         return self.boundary.shape[0]
 
+    @property
+    def interior_mask(self) -> np.ndarray:
+        """Bool mask of the interior, [wy + c, wx + c] with c = stride // 2."""
+        # -1 off the domain reads as 2^64 - 1, so one comparison finds them
+        M = self.interior_count
+        return (self.grid.view(np.uint64) < M).reshape(-1, self.stride)
+
+    @property
+    def _origin(self) -> tuple[int, int]:
+        """(column, row) of z = 0: the tip w = 0 is the centre cell."""
+        c, (x0, y0) = self.stride // 2, self.geometry.z0
+        return c + x0, c + y0
+
     def flat(self, points):
         """Cell index of z-frame sites on the grid (last axis x, y)."""
         p = np.asarray(points)
-        return ((p[..., 0] + self._origin[0]) * self.stride
-                + p[..., 1] + self._origin[1])
+        ox, oy = self._origin
+        return (p[..., 1] + oy) * self.stride + p[..., 0] + ox
 
     def unflat(self, cells):
         """z-frame sites of cell indices, as int64 (..., 2)."""
-        row, col = np.divmod(np.asarray(cells), self.stride)
-        return np.stack([row - self._origin[0], col - self._origin[1]],
-                        axis=-1)
+        y, x = np.divmod(np.asarray(cells), self.stride)
+        ox, oy = self._origin
+        return np.stack([x - ox, y - oy], axis=-1)
 
     def _cell(self, z) -> int:
         c = _as_complex(z)
         if not (c.real.is_integer() and c.imag.is_integer()):
             return -1
-        row = int(c.real) + self._origin[0]
-        col = int(c.imag) + self._origin[1]
-        if not (0 <= row < self.grid.size // self.stride
-                and 0 <= col < self.stride):
+        ox, oy = self._origin
+        x, y = int(c.real) + ox, int(c.imag) + oy
+        if not (0 <= x < self.stride and 0 <= y < self.stride):
             return -1
-        return int(self.grid[row * self.stride + col])
+        return int(self.grid[y * self.stride + x])
 
     def interior_index(self, z) -> int:
         """Dense index of an interior site, or -1."""
@@ -250,13 +262,14 @@ class LatticeDomain:
         return i - self.interior_count if i >= self.interior_count else -1
 
 
-def _from_mask(g: PacmanGeometry, interior: np.ndarray, off: int) -> LatticeDomain:
-    """Lattice domain from a w-frame interior mask indexed [wy + off, wx + off].
+def _from_mask(g: PacmanGeometry, interior: np.ndarray) -> LatticeDomain:
+    """Lattice domain from a square w-frame interior mask centred on the
+    tip, indexed [wy + off, wx + off] with off = its side // 2.
 
     The mask must leave a one-cell margin so every boundary site lands on
     the grid.  Boundary sites are the non-interior 4-neighbours of interior
     sites.  The mask's rows are y, so a row-major scan lists sites in the
-    domain's (y, x) order.
+    domain's (y, x) order, and the mask's flat cells are the grid's.
     """
     near = np.zeros_like(interior)
     near[1:, :] |= interior[:-1, :]
@@ -264,23 +277,21 @@ def _from_mask(g: PacmanGeometry, interior: np.ndarray, off: int) -> LatticeDoma
     near[:, 1:] |= interior[:, :-1]
     near[:, :-1] |= interior[:, 1:]
     boundary = near & ~interior
-    rows, cols = interior.shape
-    # the site grid is indexed [wx + off, wy + off]
-    grid = np.full(rows * cols, -1, dtype=np.int64)
+    side = len(interior)
+    off = side // 2
+    grid = np.full(interior.size, -1, dtype=np.int64)
 
     def sites(mask, first):
         cells = np.flatnonzero(mask)
-        y = cells // cols
-        x = cells - y * cols
-        grid[x * rows + y] = first + np.arange(cells.size)
+        grid[cells] = first + np.arange(cells.size)
+        y, x = np.divmod(cells, side)
         return np.stack([x - (off + g.z0[0]), y - (off + g.z0[1])], axis=1), x, y
 
     int_coords, _, _ = sites(interior, 0)
     bnd_coords, bx, by = sites(boundary, len(int_coords))
     arcs = arc_index_of_radius(g, np.hypot(bx - off, by - off))
     return LatticeDomain(geometry=g, interior=int_coords, boundary=bnd_coords,
-                         boundary_arc=arcs, grid=grid, stride=rows,
-                         _origin=(off + g.z0[0], off + g.z0[1]))
+                         boundary_arc=arcs, grid=grid, stride=side)
 
 
 def lattice_domain_from_sites(g: PacmanGeometry, interior_sites) -> LatticeDomain:
@@ -298,7 +309,7 @@ def lattice_domain_from_sites(g: PacmanGeometry, interior_sites) -> LatticeDomai
     off = int(np.abs(w).max()) + 2
     mask = np.zeros((2 * off + 1, 2 * off + 1), dtype=bool)
     mask[w[:, 1] + off, w[:, 0] + off] = True
-    return _from_mask(g, mask, off)
+    return _from_mask(g, mask)
 
 
 def build_lattice_domain(g: PacmanGeometry) -> LatticeDomain:
@@ -320,4 +331,4 @@ def build_lattice_domain(g: PacmanGeometry) -> LatticeDomain:
     lower, upper = ax[:off + 1, None], ax[off + 1:, None]
     mask[:off + 1] = sector_mask(g, ax, lower)
     mask[off + 1:] = _inside_disk(g, ax, upper)
-    return _from_mask(g, mask, off)
+    return _from_mask(g, mask)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import (PacmanGeometry, _as_complex, build_geometry,
-                     build_lattice_domain, contains, nearest_boundary)
+                     build_lattice_domain, c_alpha, contains, nearest_boundary)
 from .errors import DomainError, FitError
 from .green_continuous import bm_arc_measure, green_pacman_many
 from .green_discrete import green_solve
@@ -139,7 +139,7 @@ def rate_sweep(cfg: ExperimentConfig) -> list[RateFitResult]:
             [(math.log(p.n) ** 2 / p.n, p.sup_error) for p in pts])
         corrected_slope, _, _ = fit_loglog(
             [(1.0 / p.n, p.corrected_sup_error) for p in pts])
-        results.append(RateFitResult(alpha=a, c_alpha=build_geometry(a, pts[0].n).c_alpha,
+        results.append(RateFitResult(alpha=a, c_alpha=c_alpha(a),
                                      points=pts, slope=slope,
                                      intercept=intercept, r_squared=r2,
                                      corrected_slope=corrected_slope))

@@ -282,28 +282,24 @@ class _VCycle:
     """
 
     def __init__(self, d: LatticeDomain):
-        M = d.interior_count
-        # the domain's interior mask, indexed [wx + ox, wy + oy]: the site
-        # grid's -1 reads as 2^64 - 1 unsigned
-        inside = (d.grid.view(np.uint64) < M).reshape(-1, d.stride)
-        z0 = d.geometry.z0
-        ox, oy = divmod(int(d.flat(np.negative(z0))), d.stride)   # w = 0
-        count, depth = M, 0
+        inside = d.interior_mask        # [wy + c, wx + c]
+        c = d.stride // 2               # the row and column of w = 0
+        count, depth = d.interior_count, 0
         while count > COARSEST_SITES:
             depth += 1
             s = 1 << depth
-            count = np.count_nonzero(inside[ox % s::s, oy % s::s])
+            count = np.count_nonzero(inside[c % s::s, c % s::s])
         top = 1 << depth
         # sites come in (y, x) order: the first and last rows are the
         # interior's lowest and highest
-        x = d.interior[:, 0]
+        z0, x = d.geometry.z0, d.interior[:, 0]
         xa, xb = x.min() + z0[0], x.max() + z0[0] + 1
         ya, yb = d.interior[0, 1] + z0[1], d.interior[-1, 1] + z0[1] + 1
         x0, y0 = xa // top * top, ya // top * top
         mask = np.zeros((-(-(yb - y0) // top) * top,
                          -(-(xb - x0) // top) * top), dtype=bool)
-        mask[ya - y0:yb - y0, xa - x0:xb - x0] = \
-            inside[xa + ox:xb + ox, ya + oy:yb + oy].T
+        mask[ya - y0:yb - y0, xa - x0:xb - x0] = inside[ya + c:yb + c,
+                                                        xa + c:xb + c]
         grids = [_Grid(mask)]
         for _ in range(depth):
             grids.append(_Grid(grids[-1].mask[::2, ::2].copy()))
@@ -370,14 +366,6 @@ def _multigrid(d: LatticeDomain) -> _VCycle:
     if cached is None:
         cached = d._multigrid_cache = _VCycle(d)
     return cached
-
-
-def _scatter(d: LatticeDomain, values):
-    """An interior vector on the solver's grid."""
-    mg = _multigrid(d)
-    v = np.zeros(mg.top.size)
-    v[mg.sites] = values
-    return v
 
 
 def _gather(d: LatticeDomain, v):
@@ -454,9 +442,10 @@ def _solve(d: LatticeDomain, b):
 
 def _green(d: LatticeDomain, w):
     """G(., w) on the solver's grid."""
-    b = np.zeros(d.interior_count)
-    b[d.require_interior(w)] = 1.0
-    return _solve(d, _scatter(d, b))
+    mg = _multigrid(d)
+    b = np.zeros(mg.top.size)
+    b[mg.sites[d.require_interior(w)]] = 1.0
+    return _solve(d, b)
 
 
 def green_solve(d: LatticeDomain, w) -> ScalarField:

@@ -175,10 +175,8 @@ def _budget(n: int) -> int:
 
 
 def _simulate(d: LatticeDomain, start, count_site, rng, max_steps):
-    # -1 off the domain reads as 2^64 - 1, so one comparison finds the exit
-    cells = d.grid.view(np.uint64)
-    M = d.interior_count
-    steps = np.array([d.stride, -d.stride, 1, -1], dtype=np.int64)
+    inside = d.interior_mask.ravel()
+    steps = np.array([1, -1, d.stride, -d.stride], dtype=np.int64)
     p, q = int(d.flat(start)), int(d.flat(count_site))
     visits = 1 if p == q else 0
     done = 0
@@ -189,7 +187,7 @@ def _simulate(d: LatticeDomain, start, count_site, rng, max_steps):
         ps = p + np.cumsum(steps[draws])
         # positions past the first exit may leave the grid; clipping keeps
         # them on it, and the first exit is the only one read
-        hit = np.nonzero(cells[np.clip(ps, 0, cells.size - 1)] >= M)[0]
+        hit = np.nonzero(~inside[np.clip(ps, 0, inside.size - 1)])[0]
         if hit.size:
             j = int(hit[0])
             visits += int(np.count_nonzero(ps[:j] == q))
@@ -278,11 +276,13 @@ class _Jumps:
 def _jump_tables(d: LatticeDomain) -> _Jumps:
     """Level grid and per-level jump laws of a domain, cached on it.
 
-    The level grid is indexed like the domain's site grid: 0 off the
-    interior, and 1 + l at a site whose largest interior square has radius
-    r with 2^(l - 1) <= r < 2^l (l = 0 for r = 0).  It comes from doubling
+    The level grid is indexed like ``interior_mask``: 0 off the interior,
+    and 1 + l at a site whose largest interior square has radius r with
+    2^(l - 1) <= r < 2^l (l = 0 for r = 0).  It comes from doubling
     erosions, E_1 = erode(E_0, 1) and E_2r = erode(E_r, r).  Level code c
-    jumps with square radius ``_square_radius(c)``.
+    jumps with square radius r = ``_square_radius(c)`` to site t = -r .. r
+    of side s: the step (r + 1, t) turned by s quarter turns, so sides
+    0 .. 3 are the walls x+, y+, x-, y- and one law serves all four.
 
     One sorted key table serves every level.  A double u = m 2^-53 makes
     side s = floor(4u) and site ``bisect_right(cum, 4u - s)``; as
@@ -296,8 +296,7 @@ def _jump_tables(d: LatticeDomain) -> _Jumps:
     if cached is not None:
         return cached
     W = d.stride
-    # -1 off the domain reads as 2^64 - 1, as in _simulate
-    E = (d.grid.view(np.uint64) < d.interior_count).reshape(-1, W)
+    E = d.interior_mask
     code = E.astype(np.uint8)
     r = 0
     while True:
@@ -313,7 +312,7 @@ def _jump_tables(d: LatticeDomain) -> _Jumps:
         cum, mean_time, _ = _square_law(r)
         t = np.arange(-r, r + 1)
         a = r + 1
-        offs = np.stack([a * W + t, a - t * W, -a * W - t, t * W - a])
+        offs = np.stack([a + t * W, a * W - t, -a - t * W, t - a * W])
         laws.append((offs, cum, mean_time))
         site = np.ceil(cum * 2.0 ** 51).astype(np.uint64)
         for g in range(4 * c, 4 * c + 4):
@@ -353,7 +352,7 @@ def _run_trials(d: LatticeDomain, start, count_site, cfg: WalkRunConfig):
     t = _jump_tables(d)
     W = d.stride
     q = -1 if count_site is None else int(d.flat(count_site))
-    qx, qy = divmod(q, W)
+    qy, qx = divmod(q, W)
     if q >= 0:
         radius, G, G_at = _box_greens(len(t.laws))
     budget = _budget(d.geometry.n)
@@ -387,7 +386,7 @@ def _run_trials(d: LatticeDomain, start, count_site, cfg: WalkRunConfig):
         tim += t.mean_time[code]
         if q >= 0:
             r = radius[code]
-            x, y = np.divmod(p, W)
+            y, x = np.divmod(p, W)
             dx, dy = qx - x, qy - y
             hit = np.flatnonzero((np.abs(dx) <= r) & (np.abs(dy) <= r))
             if hit.size:

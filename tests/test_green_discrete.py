@@ -18,9 +18,17 @@ from pacgreen import (ConvergenceError, DomainError, WalkRunConfig,
 from pacgreen.domain import _BYTES_PER_CELL
 from pacgreen.green_discrete import (MAX_ITERATIONS, RESIDUAL_TOLERANCE,
                                      _cg, _coupling, _exit_weights, _gather,
-                                     _gauss_seidel, _multigrid, _scatter)
+                                     _gauss_seidel, _multigrid)
 
 PI = math.pi
+
+
+def _scatter(d, values):
+    """An interior vector on the solver's grid: ``_gather``'s inverse."""
+    mg = _multigrid(d)
+    v = np.zeros(mg.top.size)
+    v[mg.sites] = values
+    return v
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -75,7 +76,7 @@ def replay(d, start, count_site, seed, trials):
             u = 4.0 * rng.random()
             tim += mean_time
             if q is not None:
-                dx, dy = q // W - p // W + r, q % W - p % W + r
+                dy, dx = q // W - p // W + r, q % W - p % W + r
                 if 0 <= dx <= 2 * r and 0 <= dy <= 2 * r:
                     vis += float(_square_law(r)[2][dy, dx])
             side = int(u)
@@ -259,8 +260,7 @@ class TestJumpEngine:
     @pytest.mark.parametrize("n", [8, 33, 64])
     def test_levels_follow_the_chessboard_distance(self, alpha, n):
         d = build_lattice_domain(build_geometry(alpha, n))
-        interior = ((d.grid >= 0) & (d.grid < d.interior_count)).reshape(
-            -1, d.stride)
+        interior = d.interior_mask
         levels = _jump_tables(d).levels
         # largest interior square radius h, rounded down to a power of two
         h = distance_transform_cdt(interior, metric="chessboard") - 1
@@ -426,3 +426,33 @@ class TestPointForms:
         for x in ((0.5, 0), (-0.7, 0), 0.9 + 0.9j, (0.5, -0.5), (np.inf, 0)):
             with pytest.raises(DomainError):
                 run(d, x)
+
+
+class TestPinnedOutputs:
+    """The walk's output bytes on pacman16, as sha256 digests recorded
+    before the site grid became y-major.  A change that keeps the exit law
+    but moves draws to other sites (a rotated side order, a transposed
+    table) passes every statistical test and fails here."""
+
+    # seed: (sample_exits exits, green_mc (mean, stderr), simulate_exit exits)
+    DIGESTS = {
+        0: ("8eedb19524e299c3f832328960830f79aee50008495fb73cbee2bfabe3100941",
+            "c7c4ac1bd08513780f527a18e7515e08e19fac8bdf47c2e8fbd0d0193bef99d4",
+            "71ab6223f065f1420d40a92737e30cfd75191a749b9ab5977e05687050ee8d15"),
+        20261019: (
+            "c68572fcc8fd3aeb7f910358eaae225fd5e5a6c4fec21b889d52e115ebe1bf51",
+            "e65179335b52d1a2d86a5457a10bd2289391e4d9055c92a1562ddcec148a740d",
+            "00c7a1e00d6c125857f9311d5c99365beed64d809a9d80024b3227144cfab4fd"),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(DIGESTS))
+    def test_bytes_are_pinned(self, pacman16, seed):
+        cfg = WalkRunConfig(trials=200, seed=seed)
+        outputs = (
+            sample_exits(pacman16, (0, 0), cfg),
+            np.array(green_mc(pacman16, (0, 0), cfg)),
+            np.array([simulate_exit(pacman16, (0, 0), trial_rng(seed, i))[0]
+                      for i in range(50)]))
+        digests = tuple(hashlib.sha256(a.tobytes()).hexdigest()
+                        for a in outputs)
+        assert digests == self.DIGESTS[seed]
