@@ -19,6 +19,7 @@ from the tip; the last arc (index N) also carries the whole circular part.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 from dataclasses import dataclass, field
@@ -40,6 +41,32 @@ TIP_GUARD = 1e-9
 # whose first call also fills the kernel table, the peak is 150 at n = 128
 # and 249 at n = 32, where the table's fixed temporaries weigh most.
 _BYTES_PER_CELL = 270
+
+
+def _keep_freed_memory(libc) -> None:
+    """Pin glibc's malloc thresholds where they would settle after freeing
+    one 32 MiB block, so memory a rate point frees stays mapped for the next.
+
+    By default glibc raises its mmap threshold only up to the largest block
+    freed so far and trims the heap top beyond twice that, so each solve
+    hands its temporaries back to the OS and the next one faults them in
+    again.  32 MiB is glibc's ceiling for the mmap threshold on 64-bit and
+    the trim threshold is twice it, glibc's own rule: freed blocks under
+    32 MiB are reused, and up to 64 MiB of free heap top stays resident.
+    A C library without ``mallopt`` (macOS, Windows) is left alone.
+    """
+    mallopt = getattr(libc, "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)    # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)    # M_TRIM_THRESHOLD
+
+
+# the process's global symbols, C library included, on POSIX; the Python
+# DLL, which has no mallopt, on Windows
+_keep_freed_memory(ctypes.pythonapi)
 
 
 def c_alpha(alpha: float) -> float:

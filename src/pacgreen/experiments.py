@@ -113,7 +113,16 @@ def _rate_point(alpha: float, n: int) -> RatePoint:
     d = build_lattice_domain(g)
     G = green_solve(d, (0, 0))
     rmin = region_min_radius(g)
-    region = np.flatnonzero(np.hypot(d.interior[:, 0], d.interior[:, 1]) >= rmin)
+    # only sites with |x|, |y| <= ceil(rmin) can fall within rmin of the
+    # origin: decide those by hypot and keep every other site
+    r = math.ceil(rmin)
+    box = np.arange(-r, r + 1)
+    near = d.grid[d.flat(np.stack(np.meshgrid(box, box), axis=-1))].ravel()
+    near = near[(near >= 0) & (near < d.interior_count)]
+    x, y = d.interior[near].T
+    keep = np.ones(d.interior_count, dtype=bool)
+    keep[near[np.hypot(x, y) < rmin]] = False
+    region = np.flatnonzero(keep)
     w = d.interior.take(region, axis=0)
     diff = G.values[region] - (2.0 / math.pi) * green_pacman_many(g, 0j, w)
     err = np.abs(diff)

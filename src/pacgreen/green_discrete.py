@@ -415,24 +415,6 @@ def _cg(A, b, precond, tol, maxit):
                            residual=float(_max_abs(r)), iterations=maxit)
 
 
-def _gauss_seidel(A, b, d: LatticeDomain, tol, maxit):
-    # red-black sweeps x <- b + x - A(x); the verification reference for _cg
-    parity = (d.interior[:, 0] + d.interior[:, 1]) & 1
-    red = parity == 0
-    black = ~red
-    x = np.zeros_like(b)
-    for it in range(1, maxit + 1):
-        x[red] = b[red] + (x - A(x))[red]
-        x[black] = b[black] + (x - A(x))[black]
-        if it % 4 == 0 or it == maxit:
-            res = np.max(np.abs(b - A(x)))
-            if res <= tol:
-                return x, it
-    raise ConvergenceError("gauss-seidel did not converge",
-                           residual=float(np.max(np.abs(b - A(x)))),
-                           iterations=maxit)
-
-
 def _solve(d: LatticeDomain, b):
     """x with (I - P) x = b, both on the solver's grid."""
     mg = _multigrid(d)

@@ -10,9 +10,9 @@ Integrating one axis in closed form (a residue computation) leaves
     s = sqrt(c^2 - 1),  rho = c - s,  c = 2 - cos t,
 
 whose integrand extends analytically to t = 0, so Gauss-Legendre nodes
-(never at the endpoint) converge spectrally.  The direct tensor-product
-rule is kept as an independent cross-check; its node spacing near the
-removable singularity limits it to |x| below roughly 50.
+(never at the endpoint) converge spectrally.  The tests check it against
+the direct tensor-product rule over both axes, whose node spacing near
+the removable singularity limits that rule to |x| below roughly 50.
 
 For large |x| the expansion a(x) = (2/pi) log|x| + k0 + O(|x|^-2) with
 k0 = (2 gamma + 3 log 2)/pi takes over.
@@ -87,17 +87,6 @@ def potential_exact(x) -> float:
     if x1 == 0 and x2 == 0:
         return 0.0
     return float(potential_exact_many([x1], [x2])[0])
-
-
-def potential_tensor(x) -> float:
-    """a(x) by the raw two-axis tensor-product rule (cross-check only)."""
-    nodes, weights = np.polynomial.legendre.leggauss(QUADRATURE_ORDER)
-    t = nodes * math.pi
-    w = weights * math.pi
-    ct = np.cos(t)
-    denom = 1.0 - 0.5 * (ct[:, None] + ct[None, :])
-    num = 1.0 - np.cos(x[0] * t)[:, None] * np.cos(x[1] * t)[None, :]
-    return float((w @ (num / denom) @ w) / (2.0 * math.pi) ** 2)
 
 
 def potential_asymptotic(x) -> float:

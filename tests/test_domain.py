@@ -1,6 +1,11 @@
 import cmath
+import ctypes
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -10,7 +15,8 @@ from hypothesis import strategies as st
 from pacgreen import (DomainError, arc_index, bm_arc_measure, build_geometry,
                       build_lattice_domain, c_alpha, contains, green_pacman,
                       green_solve, lattice_domain_from_sites, nearest_boundary)
-from pacgreen.domain import _BYTES_PER_CELL, arc_index_of_radius, sector_mask
+from pacgreen.domain import (_BYTES_PER_CELL, _keep_freed_memory,
+                             arc_index_of_radius, sector_mask)
 from pacgreen.walk_mc import _jump_tables
 
 PI = math.pi
@@ -289,6 +295,56 @@ class TestMemoryGuard:
         finally:
             tracemalloc.stop()
         assert peak <= _BYTES_PER_CELL * (4 * g.n + 3) ** 2
+
+
+class TestAllocatorPolicy:
+    @pytest.mark.skipif(not hasattr(ctypes.pythonapi, "mallopt"),
+                        reason="the C library has no mallopt")
+    def test_second_sweep_reuses_freed_memory(self):
+        # Under glibc's default thresholds the second of two identical
+        # sweeps of rate points faults about 1 400 pages in again, which
+        # the first freed.  A fresh process, since one that has freed a
+        # large block has raised those thresholds itself; three sizes,
+        # since a single repeated size at the defaults faults 2 to 1 300
+        # times, by where small long-lived blocks happen to land.
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        code = ("import math, resource, sys\n"
+                "from pacgreen import experiments\n"
+                "def sweep():\n"
+                "    for n in (16, 32, 64):\n"
+                "        experiments._rate_point(math.pi, n)\n"
+                "sweep()\n"
+                "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+                "sweep()\n"
+                "faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+                "sys.stdout.write(str(faults - before))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 100
+
+    def test_thresholds(self):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        _keep_freed_memory(types.SimpleNamespace(mallopt=mallopt))
+        # M_MMAP_THRESHOLD at 32 MiB, M_TRIM_THRESHOLD at twice that
+        assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
+
+    def test_library_without_mallopt_is_left_alone(self):
+        asked = []
+
+        class NoMallopt:
+            def __getattr__(self, name):
+                asked.append(name)
+                raise AttributeError(name)
+
+        assert _keep_freed_memory(NoMallopt()) is None
+        assert asked == ["mallopt"]
 
 
 class TestEdgeProperties:

@@ -7,15 +7,27 @@ from pacgreen import (DomainError, EULER_GAMMA, K0, build_geometry,
                       build_lattice_domain, green_via_potential,
                       potential_asymptotic, potential_exact)
 from pacgreen import potential as kernel
-from pacgreen.potential import (EXACT_RADIUS, kernel_remainder,
-                                potential_exact_many, potential_many,
-                                potential_tensor)
+from pacgreen.potential import (EXACT_RADIUS, QUADRATURE_ORDER,
+                                kernel_remainder, potential_exact_many,
+                                potential_many)
 
 # Closed-form kernel values: a(1,0) = 1 pins the normalization, and
 # harmonicity at (1,0) with the diagonal value a(1,1) = 4/pi forces
 # a(2,0) = 4 - 8/pi.
 KNOWN = {(0, 0): 0.0, (1, 0): 1.0, (1, 1): 4 / math.pi,
          (2, 0): 4 - 8 / math.pi}
+
+
+def potential_tensor(x) -> float:
+    """a(x) by the raw two-axis tensor-product rule, independent of the
+    package's one-axis residue form."""
+    nodes, weights = np.polynomial.legendre.leggauss(QUADRATURE_ORDER)
+    t = nodes * math.pi
+    w = weights * math.pi
+    ct = np.cos(t)
+    denom = 1.0 - 0.5 * (ct[:, None] + ct[None, :])
+    num = 1.0 - np.cos(x[0] * t)[:, None] * np.cos(x[1] * t)[None, :]
+    return float((w @ (num / denom) @ w) / (2.0 * math.pi) ** 2)
 
 
 class TestExact:
