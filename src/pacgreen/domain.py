@@ -31,15 +31,17 @@ from .errors import DomainError
 # Distance below which a point counts as sitting on the tip singularity.
 TIP_GUARD = 1e-9
 
-# Peak bytes per cell of the (4n + 3)^2 grid for a lattice build followed by
-# a Green's solve, by tracemalloc: 132.3 at n = 128 and 132.0 at n = 256 for
-# alpha = 0, the largest domain (71.0 and 70.3 at alpha = pi), plus 1 for the
-# walk engine's level grid.  The domain, its solver grid and the field
-# retain 98.5 and 98.3 of them.  Over the build, the solve and the level
-# grid, resident memory grows by 109 bytes per cell at n = 128 and 106 at
-# n = 256.  Through the potential-kernel representation, in a fresh process
-# whose first call also fills the kernel table, the peak is 150 at n = 128
-# and 249 at n = 32, where the table's fixed temporaries weigh most.
+# Peak bytes per cell of the (4n + 3)^2 grid, by tracemalloc in a fresh
+# process with the build inside the window, at alpha = 0, the largest
+# domain.  A build, a Green's solve and the walk engine's level grid peak at
+# 132.3 at n = 128 and 132.0 at n = 256 (71.0 and 70.3 at alpha = pi); the
+# domain, its solver grid and the field retain 98.5 and 98.3 of them.  A
+# build and the potential-kernel representation, whose first call also
+# fills the kernel table, peak at 170.3 at n = 128 and 168.4 at n = 256, and
+# at 269.4 at n = 32, where the table's fixed temporaries weigh most.  Since
+# freed memory is kept for reuse, resident memory after the build, the solve
+# and the level grid stays at its peak: 140 bytes per cell at n = 128 and
+# 137 at n = 256.
 _BYTES_PER_CELL = 270
 
 
