@@ -35,13 +35,17 @@ TIP_GUARD = 1e-9
 # process with the build inside the window, at alpha = 0, the largest
 # domain.  A build, a Green's solve and the walk engine's level grid peak at
 # 132.3 at n = 128 and 132.0 at n = 256 (71.0 and 70.3 at alpha = pi); the
-# domain, its solver grid and the field retain 98.5 and 98.3 of them.  A
-# build and the potential-kernel representation, whose first call also
-# fills the kernel table, peak at 170.3 at n = 128 and 168.4 at n = 256, and
-# at 269.4 at n = 32, where the table's fixed temporaries weigh most.  Since
-# freed memory is kept for reuse, resident memory after the build, the solve
-# and the level grid stays at its peak: 140 bytes per cell at n = 128 and
-# 137 at n = 256.
+# domain, its solver grid with the solution it keeps from its last Green's
+# solve, the level grid and the field retain 108.3 and 108.0 of them (59.7
+# and 59.1).  A build and the potential-kernel representation, whose first
+# call also fills the kernel table, peak at 170.3 at n = 128 and 168.4 at
+# n = 256, and at 269.3 at n = 32, where the table's fixed temporaries weigh
+# most.  Since freed memory is kept for reuse, resident memory after the
+# build, the solve and the level grid stays near its peak: 142 bytes per
+# cell at n = 128 and 137 at n = 256.  The figure is a tracemalloc peak, not
+# a bound on resident memory: numpy's and the kernel table's first-touch
+# costs do not show in it and weigh most at small n, where a build and the
+# representation grow VmRSS by 454-460 bytes per cell at alpha = 0, n = 32.
 _BYTES_PER_CELL = 270
 
 

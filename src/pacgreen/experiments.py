@@ -91,6 +91,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.alphas:
             raise DomainError("need at least one alpha")
+        # every angle is checked here, so a bad one fails before any solve;
+        # the comparisons are false for nan
+        for a in self.alphas:
+            if not 0.0 <= a <= math.pi:
+                raise DomainError(f"alpha must lie in [0, pi], got {a}")
         ns = list(self.ns)
         if any(n < 8 for n in ns):
             raise DomainError("every n must be >= 8")

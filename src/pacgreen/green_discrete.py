@@ -278,7 +278,9 @@ class _VCycle:
     so calls repeat to the last bit.  Calls must not overlap.
 
     ``sites`` and ``boundary`` are the finest grid's cells of the domain's
-    interior and boundary sites, in the domain's order.
+    interior and boundary sites, in the domain's order.  ``green`` holds
+    the last Green's solve, (interior index of its source, read-only
+    solution on the finest grid), for ``_green`` alone.
     """
 
     def __init__(self, d: LatticeDomain):
@@ -316,6 +318,7 @@ class _VCycle:
         self.Ax = np.zeros(self.top.size)
         self.q_views = [self.top.views(self.q, k)[1:] for k in range(4)]
         self.Ax_views = [self.top.views(self.Ax, k)[0] for k in range(4)]
+        self.green = (-1, None)
 
     def __call__(self, r):
         """One V-cycle from f = r on the finest grid.  Returns the finest
@@ -423,11 +426,18 @@ def _solve(d: LatticeDomain, b):
 
 
 def _green(d: LatticeDomain, w):
-    """G(., w) on the solver's grid."""
+    """G(., w) on the solver's grid, read-only.  The domain keeps the last
+    source's solution, so a field and an exit law from one source cost one
+    solve; a solve from another source replaces it."""
     mg = _multigrid(d)
-    b = np.zeros(mg.top.size)
-    b[mg.sites[d.require_interior(w)]] = 1.0
-    return _solve(d, b)
+    i = d.require_interior(w)
+    if mg.green[0] != i:
+        b = np.zeros(mg.top.size)
+        b[mg.sites[i]] = 1.0
+        x = _solve(d, b)
+        x.flags.writeable = False
+        mg.green = (i, x)
+    return mg.green[1]
 
 
 def green_solve(d: LatticeDomain, w) -> ScalarField:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from pacgreen import (ExperimentConfig, build_geometry, build_lattice_domain,
-                      green_discrete, green_solve, rate_sweep)
+                      experiments, green_discrete, green_solve, rate_sweep)
 from pacgreen.cli import (_parser, atomic_write_text, build_parser, dispatch,
                           render_rate_plot)
 from pacgreen.errors import PlotError
@@ -124,6 +124,19 @@ class TestRateCommand:
         rc = dispatch(["rate", "--alphas", "3.1415927", "--ns", "8",
                        "--out", str(tmp_path / "r.csv")])
         assert rc == 2
+
+    def test_bad_angle_fails_before_any_solve(self, tmp_path, capsys,
+                                               monkeypatch):
+        def no_solve(alpha, n):
+            raise AssertionError(f"rate point at alpha = {alpha}, n = {n}")
+
+        monkeypatch.setattr(experiments, "_rate_point", no_solve)
+        out = tmp_path / "r.csv"
+        rc = dispatch(["rate", "--alphas", "0,4", "--ns", "64,128,256",
+                       "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("usage error: alpha")
+        assert list(tmp_path.iterdir()) == []
 
     def test_small_rate_run(self, tmp_path):
         out = tmp_path / "rates.csv"

@@ -55,6 +55,9 @@ class TestExperimentConfig:
             ExperimentConfig(alphas=(0.0,), ns=(4, 16, 32))
         with pytest.raises(DomainError):
             ExperimentConfig(alphas=(0.0,), ns=(16, 16, 32))
+        for bad in (-0.1, 4.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="alpha"):
+                ExperimentConfig(alphas=(0.0, bad), ns=(8, 16, 32))
 
 
 def chain_reference(g, z, w):

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 
 from pacgreen import (ConvergenceError, DomainError, WalkRunConfig,
                       build_geometry, build_lattice_domain, dirichlet_solve,
-                      discrete_arc_measure, green_mc, green_solve,
-                      green_via_potential, lattice_domain_from_sites)
+                      discrete_arc_measure, green_discrete, green_mc,
+                      green_solve, green_via_potential,
+                      lattice_domain_from_sites)
 from pacgreen.domain import _BYTES_PER_CELL
 from pacgreen.green_discrete import (MAX_ITERATIONS, RESIDUAL_TOLERANCE,
                                      _cg, _coupling, _exit_weights, _gather,
@@ -172,9 +173,10 @@ class TestGreenSolve:
         assert F.values.min() >= -1e-10
         assert F.value_at((1, 1)) >= 1.0
 
-    def test_deterministic(self, pacman16):
-        a = green_solve(pacman16, (0, 0)).values
-        b = green_solve(pacman16, (0, 0)).values
+    def test_deterministic(self):
+        # a domain keeps its last solve, so solve on two fresh domains
+        a, b = (green_solve(build_lattice_domain(build_geometry(PI, 16)),
+                            (0, 0)).values for _ in range(2))
         assert np.array_equal(a, b)
 
     def test_solve_ignores_blas_threads(self):
@@ -386,6 +388,71 @@ class TestPreconditionedCG:
         A, b = origin_system(d)
         exact = spsolve(A.tocsc(), b)
         assert np.max(np.abs(green_solve(d, (0, 0)).values - exact)) <= 1e-9
+
+
+class TestKeptSolve:
+    """A domain keeps its last Green's solve for the exit law."""
+
+    @staticmethod
+    def count_solves(monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return _cg(*args)
+
+        monkeypatch.setattr(green_discrete, "_cg", counted)
+        return calls
+
+    def test_solve_count(self, monkeypatch):
+        d = build_lattice_domain(build_geometry(PI, 16))
+        calls = self.count_solves(monkeypatch)
+        # both Green's function constructions and the exact arc law from
+        # one source: the potential kernel's Dirichlet solve never reuses
+        green_solve(d, (4, -3))
+        assert len(calls) == 1
+        green_via_potential(d, (4, -3))
+        discrete_arc_measure(d, (4, -3))
+        assert len(calls) == 2
+        # the other point forms of the same site
+        discrete_arc_measure(d, 4 - 3j)
+        _exit_weights(d, d.interior[d.interior_index((4, -3))])
+        green_solve(d, np.array([4.0, -3.0]))
+        assert len(calls) == 2
+        # a new source replaces the kept solve
+        green_solve(d, (0, 0))
+        green_solve(d, (4, -3))
+        assert len(calls) == 4
+        green_via_potential(d, (4, -3))
+        assert len(calls) == 5
+
+    @settings(max_examples=10, deadline=None)
+    @given(alpha=st.floats(0.0, PI), n=st.integers(8, 20))
+    def test_same_bytes_as_a_fresh_domain(self, alpha, n):
+        g = build_geometry(alpha, n)
+        d = build_lattice_domain(g)
+        G = green_solve(d, (0, 0)).values
+        p = discrete_arc_measure(d, (0, 0)).probabilities
+        assert G.tobytes() == green_solve(build_lattice_domain(g),
+                                          (0, 0)).values.tobytes()
+        assert p.tobytes() == discrete_arc_measure(build_lattice_domain(g),
+                                                   (0, 0)).probabilities.tobytes()
+
+    def test_returned_field_is_a_copy(self):
+        d = build_lattice_domain(build_geometry(PI, 16))
+        expected = discrete_arc_measure(d, (0, 0)).probabilities.copy()
+        G = green_solve(d, (0, 0))
+        G.values[:] = 7.0
+        assert np.array_equal(discrete_arc_measure(d, (0, 0)).probabilities,
+                              expected)
+
+    def test_kept_solution_is_read_only(self):
+        d = build_lattice_domain(build_geometry(PI, 16))
+        green_solve(d, (0, 0))
+        kept = _multigrid(d).green[1]
+        assert not kept.flags.writeable
+        with pytest.raises(ValueError):
+            kept[0] = 1.0
 
 
 class TestGreenViaPotential:
