@@ -34,18 +34,22 @@ TIP_GUARD = 1e-9
 # Peak bytes per cell of the (4n + 3)^2 grid, by tracemalloc in a fresh
 # process with the build inside the window, at alpha = 0, the largest
 # domain.  A build, a Green's solve and the walk engine's level grid peak at
-# 132.3 at n = 128 and 132.0 at n = 256 (71.0 and 70.3 at alpha = pi); the
+# 116.3 at n = 128 and 116.0 at n = 256 (62.9 and 62.3 at alpha = pi); the
 # domain, its solver grid with the solution it keeps from its last Green's
-# solve, the level grid and the field retain 108.3 and 108.0 of them (59.7
-# and 59.1).  A build and the potential-kernel representation, whose first
-# call also fills the kernel table, peak at 170.3 at n = 128 and 168.4 at
-# n = 256, and at 269.3 at n = 32, where the table's fixed temporaries weigh
-# most.  Since freed memory is kept for reuse, resident memory after the
-# build, the solve and the level grid stays near its peak: 142 bytes per
-# cell at n = 128 and 137 at n = 256.  The figure is a tracemalloc peak, not
-# a bound on resident memory: numpy's and the kernel table's first-touch
-# costs do not show in it and weigh most at small n, where a build and the
-# representation grow VmRSS by 454-460 bytes per cell at alpha = 0, n = 32.
+# solve, the level grid and the field retain 100.3 and 100.0 of them (55.7
+# and 55.1).  A rate point evaluates what follows its solve in blocks and
+# peaks at 118.0 and 116.0, the potential-kernel representation at 119.1
+# and 116.7.  At n = 32 the kernel's first call in a process, its Gauss
+# rule and table, weighs most: a rate point peaks at 301.1 there and the
+# representation at 188.3.  Since freed memory is kept for reuse, resident
+# memory after the build, the solve and the level grid stays near its
+# peak: 125 bytes per cell at n = 128 and 121 at n = 256.  270 was the
+# representation's peak at n = 32 before the blocks, kept with room to
+# spare at large n.  It is no bound at small n: the fixed costs above, and
+# numpy's and the kernel table's first-touch costs, which tracemalloc does
+# not see (a build and the representation grow VmRSS by 413 bytes per cell
+# at n = 32), exceed it there; where the guard can trigger they are
+# negligible.
 _BYTES_PER_CELL = 270
 
 
@@ -345,20 +349,26 @@ def lattice_domain_from_sites(g: PacmanGeometry, interior_sites) -> LatticeDomai
     return _from_mask(g, mask)
 
 
+def require_memory(n: int) -> None:
+    """DomainError when the (4n + 3)^2 grid of scale n, at _BYTES_PER_CELL
+    per cell, would exceed the machine's physical memory."""
+    need = _BYTES_PER_CELL * (4 * n + 3) ** 2
+    if hasattr(os, "sysconf"):
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if need > have:
+            raise DomainError(f"n = {n} needs about {need / 2**30:.3g} GiB "
+                              "for its lattice and a solve, over the "
+                              f"{have / 2**30:.3g} GiB of physical memory")
+
+
 def build_lattice_domain(g: PacmanGeometry) -> LatticeDomain:
     """Enumerate interior and boundary lattice sites of the domain.
 
     Raises DomainError, before allocating, when the memory a solve on the
     domain needs would exceed the machine's physical memory.
     """
+    require_memory(g.n)
     off = 2 * g.n + 1
-    need = _BYTES_PER_CELL * (2 * off + 1) ** 2
-    if hasattr(os, "sysconf"):
-        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        if need > have:
-            raise DomainError(f"n = {g.n} needs about {need / 2**30:.3g} GiB "
-                              "for its lattice and a solve, over the "
-                              f"{have / 2**30:.3g} GiB of physical memory")
     ax = np.arange(-off, off + 1, dtype=np.int64)
     mask = np.empty((ax.size, ax.size), dtype=bool)      # [wy, wx]
     lower, upper = ax[:off + 1, None], ax[off + 1:, None]

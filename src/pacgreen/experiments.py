@@ -26,11 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import (PacmanGeometry, _as_complex, build_geometry,
-                     build_lattice_domain, c_alpha, contains, nearest_boundary)
+                     build_lattice_domain, c_alpha, contains, nearest_boundary,
+                     require_memory)
 from .errors import DomainError, FitError
 from .green_continuous import bm_arc_measure, green_pacman_many
 from .green_discrete import green_solve
-from .potential import kernel_remainder
+from .potential import SITE_BLOCK, kernel_remainder
 from .walk_mc import WalkRunConfig, mean_stderr, sample_exits, trial_rng
 
 _BM_STREAM = 1 << 48   # keeps the exit-radius sampler off the walk streams
@@ -96,11 +97,15 @@ class ExperimentConfig:
         for a in self.alphas:
             if not 0.0 <= a <= math.pi:
                 raise DomainError(f"alpha must lie in [0, pi], got {a}")
+        # and every n, against the memory guard at the largest
         ns = list(self.ns)
-        if any(n < 8 for n in ns):
-            raise DomainError("every n must be >= 8")
+        for n in ns:
+            if not (float(n).is_integer() and n >= 8):
+                raise DomainError(f"every n must be an integer >= 8, got {n}")
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise DomainError("ns must be strictly increasing")
+        if ns:
+            require_memory(int(max(ns)))
 
 
 def _rate_point(alpha: float, n: int) -> RatePoint:
@@ -127,14 +132,21 @@ def _rate_point(alpha: float, n: int) -> RatePoint:
     x, y = d.interior[near].T
     keep = np.ones(d.interior_count, dtype=bool)
     keep[near[np.hypot(x, y) < rmin]] = False
-    region = np.flatnonzero(keep)
-    w = d.interior.take(region, axis=0)
-    diff = G.values[region] - (2.0 / math.pi) * green_pacman_many(g, 0j, w)
-    err = np.abs(diff)
-    corrected = np.abs(diff + kernel_remainder(w[:, 0], w[:, 1]))
+    # the errors in blocks of sites, so the peak is the solve's; err stays
+    # whole, so its mean is rounded as one numpy reduction
+    err = np.empty(np.count_nonzero(keep))
+    corrected_sup, done = 0.0, 0
+    for lo in range(0, keep.size, SITE_BLOCK):
+        sites = np.flatnonzero(keep[lo:lo + SITE_BLOCK]) + lo
+        w = d.interior.take(sites, axis=0)
+        diff = G.values[sites] - (2.0 / math.pi) * green_pacman_many(g, 0j, w)
+        np.abs(diff, out=err[done:done + sites.size])
+        done += sites.size
+        diff += kernel_remainder(w[:, 0], w[:, 1])
+        corrected_sup = max(corrected_sup, float(np.abs(diff, out=diff).max()))
     return RatePoint(n=n, sup_error=float(err.max()),
                      mean_error=float(err.mean()), region_min_radius=rmin,
-                     corrected_sup_error=float(corrected.max()))
+                     corrected_sup_error=corrected_sup)
 
 
 def rate_sweep(cfg: ExperimentConfig) -> list[RateFitResult]:

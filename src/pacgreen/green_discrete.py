@@ -275,7 +275,9 @@ class _VCycle:
     Multigrid Methods, 1993).  The coarsest grid, at most COARSEST_SITES
     sites, is solved exactly.  Buffers are allocated once; a call writes
     every cell it reads before reading it, except cells that stay zero,
-    so calls repeat to the last bit.  Calls must not overlap.
+    so calls repeat to the last bit.  Calls must not overlap.  The finest
+    grid's f is the cycle's input, which it only reads; ``_cg`` keeps its
+    residual there, so solves on one domain must not overlap either.
 
     ``sites`` and ``boundary`` are the finest grid's cells of the domain's
     interior and boundary sites, in the domain's order.  ``green`` holds
@@ -313,7 +315,6 @@ class _VCycle:
         self.sites = self.top.sites
         bx, by = (d.boundary + np.asarray(z0)).T
         self.boundary = self.top.cells(by - y0, bx - x0)
-        self.on_site = 4.0 * self.top.quarter     # 1 on sites, 0 elsewhere
         self.q = np.zeros(self.top.size)
         self.Ax = np.zeros(self.top.size)
         self.q_views = [self.top.views(self.q, k)[1:] for k in range(4)]
@@ -321,9 +322,11 @@ class _VCycle:
         self.green = (-1, None)
 
     def __call__(self, r):
-        """One V-cycle from f = r on the finest grid.  Returns the finest
+        """One V-cycle from f = r on the finest grid; r may be the finest
+        grid's f itself, which the cycle only reads.  Returns the finest
         grid's u, overwritten by the next call."""
-        np.copyto(self.top.f, r)
+        if r is not self.top.f:
+            np.copyto(self.top.f, r)
         for level in self.levels:
             level.down()
         c = self.coarsest
@@ -345,7 +348,9 @@ class _VCycle:
             y += x[s:s + self.top.span]
             y -= xp
             y -= yp
-        self.Ax *= self.on_site
+        # for x zero off the sites, the only other cells made nonzero are
+        # the sites' non-site neighbours: the boundary
+        self.Ax[self.boundary] = 0.0
         return self.Ax
 
     def neighbour_sum(self, v):
@@ -383,16 +388,22 @@ def _coupling(d: LatticeDomain, h):
     v = np.zeros(mg.top.size)
     v[mg.boundary] = 0.25 * h
     b = mg.neighbour_sum(v)
-    b *= mg.on_site
+    b *= mg.top.quarter     # 0 off the sites; the quarter, times 4, is exact
+    b *= 4.0
     return b
 
 
 def _cg(A, b, precond, tol, maxit):
     """Preconditioned CG on x -> A(x); stops when the true residual's
     max-norm is <= tol.  A and precond may return buffers of their own
-    that their next call overwrites."""
+    that their next call overwrites.  With a V-cycle as precond the
+    residual lives in the cycle's input, its finest grid's f."""
     x = np.zeros_like(b)
-    r = b.copy()
+    if isinstance(precond, _VCycle):
+        r = precond.top.f
+        np.copyto(r, b)
+    else:
+        r = b.copy()
     if _max_abs(r) <= tol:
         return x, 0
     z = precond(r)

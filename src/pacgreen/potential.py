@@ -60,9 +60,14 @@ def _gauss_rule():
     return t, w, s, rho
 
 
-# Points per quadrature block: temporaries of _BLOCK x QUADRATURE_ORDER
-# doubles (1 MB) whatever the number of points.
-_BLOCK = 256
+# Points per quadrature block: two temporaries of _BLOCK x QUADRATURE_ORDER
+# doubles (256 KB each) whatever the number of points.
+_BLOCK = 64
+
+# Points per block of the evaluations over a whole domain's sites
+# (``potential_many`` here, the rate point's errors in ``experiments``):
+# their temporaries stay a few hundred KB whatever the domain's size.
+SITE_BLOCK = 8192
 
 
 def potential_exact_many(xs, ys) -> np.ndarray:
@@ -72,12 +77,16 @@ def potential_exact_many(xs, ys) -> np.ndarray:
     x2 = np.abs(np.asarray(ys, dtype=np.float64))
     out = np.empty(x1.shape, dtype=np.float64)
     for lo in range(0, x1.shape[0], _BLOCK):
-        a = x1[lo:lo + _BLOCK, None]
-        b = x2[lo:lo + _BLOCK, None]
-        f = (1.0 - np.cos(a * t[None, :]) * rho[None, :] ** b) / s[None, :]
+        # (1 - cos(x1 t) rho^x2) / s, times the weights, in place
+        f = np.multiply(x1[lo:lo + _BLOCK, None], t)
+        np.cos(f, out=f)
+        f *= np.power(rho, x2[lo:lo + _BLOCK, None])
+        np.subtract(1.0, f, out=f)
+        f /= s
+        f *= w
         # row sums, not f @ w: BLAS rounds a row by its place in the block,
         # and a point's value must not depend on the points beside it
-        out[lo:lo + _BLOCK] = (2.0 / math.pi) * (f * w).sum(axis=1)
+        out[lo:lo + _BLOCK] = (2.0 / math.pi) * f.sum(axis=1)
     return out
 
 
@@ -101,9 +110,10 @@ class _RemainderTable:
     """eps on the octant 0 <= y <= x, indexed [x, y], filled lazily.
 
     Rows 0..rows-1 are filled; entries beyond EXACT_RADIUS (and the
-    origin) stay 0.  One full-size array, filled in blocks of _BLOCK
-    points: growing it mid-computation then leaves no new allocation on
-    top of the heap to keep freed memory resident.
+    origin) stay 0.  One full-size array, filled a row at a time: growing
+    it mid-computation then adds no more than a row's temporaries to the
+    caller's peak, and no new allocation on top of the heap to keep freed
+    memory resident.
     """
 
     def __init__(self):
@@ -112,15 +122,13 @@ class _RemainderTable:
 
     def upto(self, m: int) -> np.ndarray:
         """The table with at least rows 0..min(m, EXACT_RADIUS) filled."""
-        m = min(m, EXACT_RADIUS)
-        if m >= self.rows:
-            x, y = np.tril_indices(m + 1)
+        for x in range(self.rows, min(m, EXACT_RADIUS) + 1):
+            y = np.arange(x + 1)
             r = np.hypot(x, y)
-            new = (x >= self.rows) & (r <= EXACT_RADIUS)
-            x, y, r = x[new], y[new], r[new]
-            self.eps[x, y] = (potential_exact_many(x, y)
+            y, r = y[r <= EXACT_RADIUS], r[r <= EXACT_RADIUS]
+            self.eps[x, y] = (potential_exact_many(np.full(y.size, x), y)
                               - (2.0 / math.pi) * np.log(r) - K0)
-            self.rows = m + 1
+            self.rows = x + 1
         return self.eps
 
 
@@ -132,11 +140,13 @@ def potential_many(xs, ys) -> np.ndarray:
     EXACT_RADIUS and asymptotic beyond; a(0) = 0."""
     xs = np.asarray(xs, dtype=np.int64)
     ys = np.asarray(ys, dtype=np.int64)
-    r = np.hypot(xs, ys)
-    out = np.zeros(r.shape, dtype=np.float64)
-    nz = r > 0
-    out[nz] = ((2.0 / math.pi) * np.log(r[nz]) + K0
-               + kernel_remainder(xs[nz], ys[nz]))
+    out = np.zeros(xs.shape, dtype=np.float64)
+    for lo in range(0, len(xs), SITE_BLOCK):
+        x, y = xs[lo:lo + SITE_BLOCK], ys[lo:lo + SITE_BLOCK]
+        r = np.hypot(x, y)
+        nz = r > 0
+        out[lo:lo + SITE_BLOCK][nz] = ((2.0 / math.pi) * np.log(r[nz]) + K0
+                                      + kernel_remainder(x[nz], y[nz]))
     return out
 
 

@@ -138,6 +138,19 @@ class TestRateCommand:
         assert capsys.readouterr().err.startswith("usage error: alpha")
         assert list(tmp_path.iterdir()) == []
 
+    def test_n_over_physical_memory_fails_before_any_solve(self, tmp_path,
+                                                           capsys,
+                                                           monkeypatch):
+        def no_solve(alpha, n):
+            raise AssertionError(f"rate point at alpha = {alpha}, n = {n}")
+
+        monkeypatch.setattr(experiments, "_rate_point", no_solve)
+        rc = dispatch(["rate", "--alphas", "0", "--ns", "64,128,200000",
+                       "--out", str(tmp_path / "r.csv")])
+        assert rc == 2
+        assert "physical memory" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_small_rate_run(self, tmp_path):
         out = tmp_path / "rates.csv"
         svg = tmp_path / "rates.svg"

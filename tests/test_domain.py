@@ -16,7 +16,7 @@ from pacgreen import (DomainError, arc_index, bm_arc_measure, build_geometry,
                       build_lattice_domain, c_alpha, contains, green_pacman,
                       green_solve, lattice_domain_from_sites, nearest_boundary)
 from pacgreen.domain import (_BYTES_PER_CELL, _keep_freed_memory,
-                             arc_index_of_radius, sector_mask)
+                             arc_index_of_radius, require_memory, sector_mask)
 from pacgreen.walk_mc import _jump_tables
 
 PI = math.pi
@@ -295,6 +295,38 @@ class TestMemoryGuard:
         finally:
             tracemalloc.stop()
         assert peak <= _BYTES_PER_CELL * (4 * g.n + 3) ** 2
+
+    # Per cell of the (4n + 3)^2 grid at alpha = 0, n = 64, in a fresh
+    # process (the kernel's Gauss rule and table are filled in the window).
+    # Evaluating the closed form, eps and the errors over whole arrays
+    # after the solve, with CG's residual and the operator's site mask as
+    # vectors of their own, read 228 (rate point) and 178 (potential path);
+    # in blocks, without those two vectors, 156 and 129.
+    @pytest.mark.parametrize("call, bound", [
+        ("experiments._rate_point(0.0, 64)", 190),
+        ("green_via_potential(build_lattice_domain(build_geometry(0.0, 64)),"
+         " (0, 0))", 150)], ids=["rate_point", "potential"])
+    def test_after_solve_evaluations_stay_in_blocks(self, call, bound):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        code = ("import sys, tracemalloc\n"
+                "from pacgreen import (build_geometry, build_lattice_domain,"
+                " experiments, green_via_potential)\n"
+                "tracemalloc.start()\n"
+                f"{call}\n"
+                "peak = tracemalloc.get_traced_memory()[1]\n"
+                "sys.stdout.write(str(peak / (4 * 64 + 3) ** 2))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) <= bound
+
+    def test_one_rule_for_the_build_and_the_sweep(self):
+        require_memory(64)
+        with pytest.raises(DomainError, match="physical memory"):
+            require_memory(10 ** 6)
+        with pytest.raises(DomainError, match="physical memory"):
+            build_lattice_domain(build_geometry(0.0, 10 ** 6))
 
 
 class TestAllocatorPolicy:

@@ -6,8 +6,11 @@ import pytest
 
 from pacgreen import (DomainError, ExperimentConfig, FitError, WalkRunConfig,
                       build_geometry, build_lattice_domain, expdiff_estimate,
-                      experiments, fit_loglog, nearest_boundary,
+                      experiments, fit_loglog, green_solve, nearest_boundary,
                       prop_bound_scale, rate_sweep, region_min_radius)
+from pacgreen.experiments import RatePoint
+from pacgreen.green_continuous import green_pacman_many
+from pacgreen.potential import SITE_BLOCK, kernel_remainder
 
 PI = math.pi
 
@@ -59,6 +62,15 @@ class TestExperimentConfig:
             with pytest.raises(DomainError, match="alpha"):
                 ExperimentConfig(alphas=(0.0, bad), ns=(8, 16, 32))
 
+    def test_every_n_is_checked_before_any_solve(self):
+        for bad in (16.5, math.nan, math.inf):
+            with pytest.raises(DomainError, match="integer"):
+                ExperimentConfig(alphas=(0.0,), ns=(8, bad, 1e9))
+        assert ExperimentConfig(alphas=(0.0,), ns=(8, 16.0, 32)).ns[1] == 16
+        # the memory guard runs for the largest n
+        with pytest.raises(DomainError, match="physical memory"):
+            ExperimentConfig(alphas=(0.0,), ns=(64, 128, 200_000))
+
 
 def chain_reference(g, z, w):
     """g(z, w) by the map chain in cmath, point by point: the argument in
@@ -86,7 +98,9 @@ class TestRatePoint:
 
         monkeypatch.setattr(experiments, "green_pacman_many", recorded)
         experiments._rate_point(alpha, 32)
-        (w, values), = calls
+        # the region may span several blocks: their calls, in order
+        w = np.concatenate([c[0] for c in calls])
+        values = np.concatenate([c[1] for c in calls])
         g = build_geometry(alpha, 32)
         d = build_lattice_domain(g)
         x, y = d.interior.T
@@ -95,6 +109,26 @@ class TestRatePoint:
         assert np.array_equal(w, want)
         ref = chain_reference(g, (0, 0), want)
         assert np.max(np.abs(values - ref)) <= 1e-12
+
+
+    @pytest.mark.parametrize("alpha", [0.0, PI / 2, PI])
+    def test_blocks_match_one_pass(self, alpha):
+        # the region spans several blocks; the errors must equal, bit for
+        # bit, the formulas over the whole region at once
+        g = build_geometry(alpha, 64)
+        d = build_lattice_domain(g)
+        G = green_solve(d, (0, 0))
+        rmin = region_min_radius(g)
+        region = np.hypot(*d.interior.T) >= rmin
+        w = d.interior[region]
+        assert len(w) > 2 * SITE_BLOCK
+        diff = G.values[region] - (2 / PI) * green_pacman_many(g, 0j, w)
+        err = np.abs(diff)
+        corrected = np.abs(diff + kernel_remainder(w[:, 0], w[:, 1]))
+        assert experiments._rate_point(alpha, 64) == RatePoint(
+            n=64, sup_error=float(err.max()), mean_error=float(err.mean()),
+            region_min_radius=rmin,
+            corrected_sup_error=float(corrected.max()))
 
 
 class TestRateSweep:

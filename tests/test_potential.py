@@ -7,7 +7,7 @@ from pacgreen import (DomainError, EULER_GAMMA, K0, build_geometry,
                       build_lattice_domain, green_via_potential,
                       potential_asymptotic, potential_exact)
 from pacgreen import potential as kernel
-from pacgreen.potential import (EXACT_RADIUS, QUADRATURE_ORDER,
+from pacgreen.potential import (EXACT_RADIUS, QUADRATURE_ORDER, SITE_BLOCK,
                                 kernel_remainder, potential_exact_many,
                                 potential_many)
 
@@ -80,6 +80,16 @@ class TestExact:
         for i in range(len(xs)):
             assert many[i] == pytest.approx(
                 potential_exact((xs[i], ys[i])), abs=1e-14)
+
+
+    def test_point_does_not_depend_on_its_block(self):
+        # several quadrature blocks, each point bit for bit its own value
+        rng = np.random.default_rng(11)
+        xs, ys = rng.integers(-150, 151, (2, 150))
+        many = potential_exact_many(xs, ys)
+        assert [float(v) for v in many] == [
+            potential_exact((x, y)) if x or y else 0.0
+            for x, y in zip(xs, ys)]
 
 
 class TestAsymptotic:
@@ -156,6 +166,19 @@ class TestPolicy:
         assert at == pytest.approx(potential_exact((EXACT_RADIUS, 0)), abs=1e-12)
         assert hi == pytest.approx(potential_exact((EXACT_RADIUS + 1, 0)), abs=2e-6)
         assert lo < at < hi
+
+    def test_blocks_match_one_pass(self):
+        # more than two blocks of sites, the origin and both sides of the
+        # exact radius among them
+        rng = np.random.default_rng(5)
+        xs, ys = rng.integers(-260, 261, (2, 2 * SITE_BLOCK + 100))
+        xs[[0, SITE_BLOCK]] = ys[[0, SITE_BLOCK]] = 0
+        r = np.hypot(xs, ys)
+        nz = r > 0
+        want = np.zeros(r.shape)
+        want[nz] = ((2.0 / math.pi) * np.log(r[nz]) + K0
+                    + kernel_remainder(xs[nz], ys[nz]))
+        assert np.array_equal(potential_many(xs, ys), want)
 
     def test_negation_symmetry(self):
         xs = np.array([3, 60, 0, 150, 250])
