@@ -23,6 +23,7 @@ import ctypes
 import math
 import os
 from dataclasses import dataclass, field
+from decimal import Decimal
 
 import numpy as np
 
@@ -122,9 +123,7 @@ def build_geometry(alpha: float, n: int) -> PacmanGeometry:
     """Construct the geometry for wedge angle alpha and scale n."""
     if not (0.0 <= alpha <= math.pi):
         raise DomainError(f"alpha must lie in [0, pi], got {alpha}")
-    if int(n) != n or n < 8:
-        raise DomainError(f"n must be an integer >= 8, got {n}")
-    n = int(n)
+    n = require_scale(n)
     z0 = _closest_lattice_point(n * np.exp(1j * (math.pi - alpha / 2.0)))
     N = math.ceil(2 * n / math.log(n) ** 2)
     return PacmanGeometry(alpha=float(alpha), n=n, z0=z0,
@@ -349,14 +348,29 @@ def lattice_domain_from_sites(g: PacmanGeometry, interior_sites) -> LatticeDomai
     return _from_mask(g, mask)
 
 
+def require_scale(n) -> int:
+    """n as an int; DomainError unless n is an integer >= 8, nan, inf and
+    non-numbers included.  n is never made a float, so an integer too
+    large for one passes on to require_memory."""
+    try:
+        ok = n >= 8 and int(n) == n
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise DomainError(f"n must be an integer >= 8, got {n}")
+    return int(n)
+
+
 def require_memory(n: int) -> None:
     """DomainError when the (4n + 3)^2 grid of scale n, at _BYTES_PER_CELL
-    per cell, would exceed the machine's physical memory."""
+    per cell, would exceed the machine's physical memory.  The need is
+    reported in Decimal, which no n overflows."""
     need = _BYTES_PER_CELL * (4 * n + 3) ** 2
     if hasattr(os, "sysconf"):
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         if need > have:
-            raise DomainError(f"n = {n} needs about {need / 2**30:.3g} GiB "
+            gib = Decimal(need) / 2**30
+            raise DomainError(f"n = {n} needs about {gib:.3g} GiB "
                               "for its lattice and a solve, over the "
                               f"{have / 2**30:.3g} GiB of physical memory")
 

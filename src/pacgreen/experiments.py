@@ -27,7 +27,7 @@ import numpy as np
 
 from .domain import (PacmanGeometry, _as_complex, build_geometry,
                      build_lattice_domain, c_alpha, contains, nearest_boundary,
-                     require_memory)
+                     require_memory, require_scale)
 from .errors import DomainError, FitError
 from .green_continuous import bm_arc_measure, green_pacman_many
 from .green_discrete import green_solve
@@ -98,14 +98,11 @@ class ExperimentConfig:
             if not 0.0 <= a <= math.pi:
                 raise DomainError(f"alpha must lie in [0, pi], got {a}")
         # and every n, against the memory guard at the largest
-        ns = list(self.ns)
-        for n in ns:
-            if not (float(n).is_integer() and n >= 8):
-                raise DomainError(f"every n must be an integer >= 8, got {n}")
+        ns = [require_scale(n) for n in self.ns]
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise DomainError("ns must be strictly increasing")
         if ns:
-            require_memory(int(max(ns)))
+            require_memory(max(ns))
 
 
 def _rate_point(alpha: float, n: int) -> RatePoint:

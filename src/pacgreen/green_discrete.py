@@ -395,15 +395,12 @@ def _coupling(d: LatticeDomain, h):
 
 def _cg(A, b, precond, tol, maxit):
     """Preconditioned CG on x -> A(x); stops when the true residual's
-    max-norm is <= tol.  A and precond may return buffers of their own
-    that their next call overwrites.  With a V-cycle as precond the
-    residual lives in the cycle's input, its finest grid's f."""
+    max-norm is <= tol.  precond is the domain's V-cycle, and the residual
+    lives in its input, the finest grid's f.  A and precond may return
+    buffers of their own that their next call overwrites."""
     x = np.zeros_like(b)
-    if isinstance(precond, _VCycle):
-        r = precond.top.f
-        np.copyto(r, b)
-    else:
-        r = b.copy()
+    r = precond.top.f
+    np.copyto(r, b)
     if _max_abs(r) <= tol:
         return x, 0
     z = precond(r)

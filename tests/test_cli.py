@@ -138,14 +138,15 @@ class TestRateCommand:
         assert capsys.readouterr().err.startswith("usage error: alpha")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("big", ["200000", "9" * 400])
     def test_n_over_physical_memory_fails_before_any_solve(self, tmp_path,
                                                            capsys,
-                                                           monkeypatch):
+                                                           monkeypatch, big):
         def no_solve(alpha, n):
             raise AssertionError(f"rate point at alpha = {alpha}, n = {n}")
 
         monkeypatch.setattr(experiments, "_rate_point", no_solve)
-        rc = dispatch(["rate", "--alphas", "0", "--ns", "64,128,200000",
+        rc = dispatch(["rate", "--alphas", "0", "--ns", f"64,128,{big}",
                        "--out", str(tmp_path / "r.csv")])
         assert rc == 2
         assert "physical memory" in capsys.readouterr().err

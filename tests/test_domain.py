@@ -16,7 +16,8 @@ from pacgreen import (DomainError, arc_index, bm_arc_measure, build_geometry,
                       build_lattice_domain, c_alpha, contains, green_pacman,
                       green_solve, lattice_domain_from_sites, nearest_boundary)
 from pacgreen.domain import (_BYTES_PER_CELL, _keep_freed_memory,
-                             arc_index_of_radius, require_memory, sector_mask)
+                             arc_index_of_radius, require_memory,
+                             require_scale, sector_mask)
 from pacgreen.walk_mc import _jump_tables
 
 PI = math.pi
@@ -322,6 +323,12 @@ class TestMemoryGuard:
         assert float(proc.stdout) <= bound
 
     def test_one_rule_for_the_build_and_the_sweep(self):
+        for bad in (7, 8.5, math.nan, math.inf, "9"):
+            with pytest.raises(DomainError, match="integer"):
+                require_scale(bad)
+            with pytest.raises(DomainError, match="integer"):
+                build_geometry(0.0, bad)
+        assert require_scale(16.0) == 16 and type(require_scale(16.0)) is int
         require_memory(64)
         with pytest.raises(DomainError, match="physical memory"):
             require_memory(10 ** 6)

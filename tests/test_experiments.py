@@ -70,6 +70,9 @@ class TestExperimentConfig:
         # the memory guard runs for the largest n
         with pytest.raises(DomainError, match="physical memory"):
             ExperimentConfig(alphas=(0.0,), ns=(64, 128, 200_000))
+        # an integer too large for a float reaches the guard too
+        with pytest.raises(DomainError, match="physical memory"):
+            ExperimentConfig(alphas=(0.0,), ns=(64, 128, 10 ** 400))
 
 
 def chain_reference(g, z, w):
