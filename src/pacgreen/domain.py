@@ -35,20 +35,20 @@ TIP_GUARD = 1e-9
 # Peak bytes per cell of the (4n + 3)^2 grid, by tracemalloc in a fresh
 # process with the build inside the window, at alpha = 0, the largest
 # domain.  A build, a Green's solve and the walk engine's level grid peak at
-# 116.3 at n = 128 and 116.0 at n = 256 (62.9 and 62.3 at alpha = pi); the
+# 119.7 at n = 128 and 119.4 at n = 256 (64.6 and 64.0 at alpha = pi); the
 # domain, its solver grid with the solution it keeps from its last Green's
-# solve, the level grid and the field retain 100.3 and 100.0 of them (55.7
-# and 55.1).  A rate point evaluates what follows its solve in blocks and
-# peaks at 118.0 and 116.0, the potential-kernel representation at 119.1
-# and 116.7.  At n = 32 the kernel's first call in a process, its Gauss
-# rule and table, weighs most: a rate point peaks at 301.1 there and the
-# representation at 188.3.  Since freed memory is kept for reuse, resident
+# solve, the level grid and the field retain 103.7 and 103.3 of them (57.4
+# and 56.8).  A rate point evaluates what follows its solve in blocks and
+# peaks at 121.3 and 119.4, the potential-kernel representation at 122.4
+# and 120.1.  At n = 32 the kernel's first call in a process, its Gauss
+# rule and table, weighs most: a rate point peaks at 304.5 there and the
+# representation at 188.4.  Since freed memory is kept for reuse, resident
 # memory after the build, the solve and the level grid stays near its
-# peak: 125 bytes per cell at n = 128 and 121 at n = 256.  270 was the
+# peak: 128 bytes per cell at n = 128 and 124 at n = 256.  270 was the
 # representation's peak at n = 32 before the blocks, kept with room to
 # spare at large n.  It is no bound at small n: the fixed costs above, and
 # numpy's and the kernel table's first-touch costs, which tracemalloc does
-# not see (a build and the representation grow VmRSS by 413 bytes per cell
+# not see (a build and the representation grow VmRSS by 416 bytes per cell
 # at n = 32), exceed it there; where the guard can trigger they are
 # negligible.
 _BYTES_PER_CELL = 270

@@ -109,9 +109,14 @@ class _Grid:
     -1 ... ceil(H/2) - 1 for odd y.  Those are the rows that hold the
     plane's box and boundary cells; the cells outside all four own slices
     are never written.
+
+    A grid solves (D - P) u = f.  ``diagonal`` gives D as (y, x, D) on
+    the sites where it is not 1 (see _diagonal); without it D = 1.  The
+    grid keeps no D, only ``weight``, 1 / (4 D) on the sites and zero
+    elsewhere.
     """
 
-    def __init__(self, mask):
+    def __init__(self, mask, diagonal=None):
         self.mask = mask
         half_h, half_w = -(-mask.shape[0] // 2), -(-mask.shape[1] // 2)
         self.row = C = half_w + 1
@@ -130,8 +135,12 @@ class _Grid:
                                 np.arange(mask.shape[1]))[mask]
         self.u = np.zeros(self.size)
         self.f = np.zeros(self.size)
-        self.quarter = np.zeros(self.size)
-        self.quarter[self.sites] = 0.25
+        self.weight = np.zeros(self.size)
+        self.weight[self.sites] = 0.25
+        self.scaled = diagonal is not None
+        if self.scaled:
+            y, x, D = diagonal
+            self.weight[self.cells(y, x)] = 0.25 / D
 
     def cells(self, y, x):
         """Flat cells of box coordinates (y, x), each in -1 ... H or W;
@@ -163,28 +172,43 @@ def _stencil(out, views, weight, tmp, f=None):
         np.add(tmp, f, out=out)
 
 
+def _quarter(weight):
+    """A quarter where a grid's weight, at most a quarter, is positive, and
+    zero elsewhere."""
+    q = np.ceil(weight)
+    q *= 0.25
+    return q
+
+
 class _Level:
     """Smoothing on a grid of even shape, and the transfers to and from
     the grid of every other site of it.
 
-    On every grid (I - P) u = f is relaxed by Gauss-Seidel: a site's new
-    value is f plus a quarter of its neighbours' sum.  With full weighting
-    R = P^T / 4, bilinear prolongation P, and (1/4)(I - P) as the coarse
-    operator for the doubled spacing, the coarse right-hand side is P^T
-    of the residual.  After the red-black sweep the residual vanishes on
-    black sites, and the black sweep overwrites what P puts there, so
-    both transfers touch red sites only: the coarse sites themselves
-    (plane 0) and the cell centres between them (plane 3).
+    On every grid (D - P) u = f is relaxed by Gauss-Seidel: a site's new
+    value is f / D plus 1 / (4 D) of its neighbours' sum.  A grid with a
+    diagonal keeps f / D in place of f, so its sweeps weigh by ``weight``
+    alone.  With full weighting R = P^T / 4, bilinear prolongation P, and
+    (1/4)(D - P) as the coarse operator for the doubled spacing, the
+    coarse right-hand side is P^T of the residual, which the coarse grid
+    keeps divided by its D.  After the red-black sweep the residual
+    vanishes on black sites, and the black sweep overwrites what P puts
+    there, so both transfers touch red sites only: the coarse sites
+    themselves (plane 0) and the cell centres between them (plane 3).
+    From u = 0 the red sweep leaves u = f / D there, so the residual on
+    red sites is a quarter of the black neighbours' sum, whatever D.
 
     Both go through two scratch arrays laid out as one plane of this
     grid: ``at_sites`` holds the coarse right-hand side, then the coarse
     correction, on the cells of plane 0, which are the coarse grid's
     cells, and ``at_centres`` the residual on those of plane 3.  The
     coarse right-hand side is split into the coarse grid's planes, and
-    its correction merged back, by strided copies.
+    its correction merged back, by strided copies.  The residual on the
+    coarse sites and P^T weigh by the coarse grid's weight, from its
+    ``diagonal`` as _Grid takes it, so the split copies the coarse grid's
+    f / D.
     """
 
-    def __init__(self, grid: _Grid, coarse: _Grid):
+    def __init__(self, grid: _Grid, coarse: _Grid, diagonal=None):
         C, S = grid.row, grid.span
         self.tmp = np.empty(S)
         at_sites = np.zeros(grid.plane + 1)
@@ -205,11 +229,21 @@ class _Level:
                       for dst, p in zip(coarse.blocks(coarse.f), parts)]
         self.merge = [(p, src[:p.shape[0], :p.shape[1]])
                       for src, p in zip(coarse.blocks(coarse.u), parts)]
+        # the residual and P weigh the centres by a quarter; the residual
+        # on the coarse sites and P^T by the coarse grid's weight, laid out
+        # as coarse_site: a quarter on plane 0's sites, which are the
+        # coarse sites, over D at coarse site (i, j), cell i C + j + 1
+        site, centre = (grid.views(grid.weight, k)[0] for k in (0, 3))
+        self.site_weight = _quarter(site)
+        if diagonal is not None:
+            y, x, D = diagonal
+            self.site_weight[y * C + x + 1] = 0.25 / D
+        self.centre_weight = _quarter(centre) if grid.scaled else centre
 
         def colour(k, neighbours):
-            # (u, f, quarter mask, neighbour slices) of plane k
+            # (u, f, weight, neighbour slices) of plane k
             return (grid.views(grid.u, k)[0], grid.views(grid.f, k)[0],
-                    grid.views(grid.quarter, k)[0],
+                    grid.views(grid.weight, k)[0],
                     grid.views(neighbours, k)[1:])
 
         self.black_from_f = [colour(k, grid.f) for k in _BLACK]
@@ -222,12 +256,13 @@ class _Level:
         tmp = self.tmp
         for u, f, q, views in self.black_from_f:
             _stencil(u, views, q, tmp, f)
-        (_, _, q_site, around_site), (_, _, q_centre, around_centre) = self.red
-        _stencil(self.coarse_site, around_site, q_site, tmp)
-        _stencil(self.centre, around_centre, q_centre, tmp)
-        # P^T: each coarse site takes a quarter of its four centres' residual
-        _stencil(self.coarse_site, self.centres_around, q_site, tmp,
-                 self.coarse_site)
+        (_, _, _, around_site), (_, _, _, around_centre) = self.red
+        _stencil(self.coarse_site, around_site, self.site_weight, tmp)
+        _stencil(self.centre, around_centre, self.centre_weight, tmp)
+        # P^T: each coarse site takes a quarter of its four centres'
+        # residual, over its D
+        _stencil(self.coarse_site, self.centres_around, self.site_weight,
+                 tmp, self.coarse_site)
         for dst, src in self.split:
             np.copyto(dst, src)
 
@@ -235,22 +270,66 @@ class _Level:
         tmp = self.tmp
         for dst, src in self.merge:
             np.copyto(dst, src)
-        (u, f, _, _), (u_centre, f_centre, q_centre, _) = self.red
+        (u, f, _, _), (u_centre, f_centre, _, _) = self.red
         np.add(f, self.coarse_site, out=u)
-        _stencil(u_centre, self.coarse_around, q_centre, tmp, f_centre)
+        _stencil(u_centre, self.coarse_around, self.centre_weight, tmp,
+                 f_centre)
         for u, f, q, views in self.black + self.red:
             _stencil(u, views, q, tmp, f)
 
 
+def _boundary_distances(mask, depth):
+    """For k = 1 ... depth, level k's distances t as an array [direction,
+    y, x] over its box, the finest box halved k times: from each site of
+    level k, the number of finest-grid steps in direction -y, +y, -x, +x
+    to the first non-site of the finest mask, at most 2^k; 0 at
+    non-sites.  Cells outside the box are non-sites.
+
+    Level k - 1 gives level k without a scan: a site whose distance at
+    level k - 1 stays below the cap keeps it, and one at the cap adds
+    that of the level k - 1 cell half a step of level k further on."""
+    t = mask.view(np.int8)[None]        # level 0, alike in all directions
+    for k in range(1, depth + 1):
+        own = t[:, ::2, ::2].copy()     # contiguous, for fast sums
+        ahead = np.zeros((4,) + own.shape[1:],
+                         np.int8 if k < 7 else np.int16)   # t <= 2^k
+        r = range(4) if len(t) == 4 else (0,) * 4
+        ahead[0, 1:] = t[r[0], 1:-1:2, ::2]
+        ahead[1] = t[r[1], 1::2, ::2]
+        ahead[2, :, 1:] = t[r[2], ::2, 1:-1:2]
+        ahead[3] = t[r[3], ::2, 1::2]
+        ahead *= own == 1 << (k - 1)
+        ahead += own
+        t = ahead
+        yield t
+
+
+def _diagonal(t, k):
+    """D = 1 + (1/4) sum over the four directions of (2^k / t - 1), which
+    is 2^k / 4 times the sum of 1 / t, on level k's sites, from their
+    distances t (see _boundary_distances): the coarse operator's diagonal
+    when the zero boundary value sits t finest-grid steps away, by linear
+    extrapolation through it (Shortley & Weller, J. Appl. Phys. 9, 1938).
+    Returns (y, x, D) on the sites with a non-site within 2^k - 1 steps;
+    D is exactly 1 on the others."""
+    s = 1 << k
+    least = t.min(axis=0)
+    # t is 0 in all four directions at non-sites
+    near = np.flatnonzero((least > 0) & (least < s))
+    D = 0.25 * s * (1.0 / t.reshape(4, -1)[:, near]).sum(axis=0)
+    return (*np.divmod(near, least.shape[1]), D)
+
+
 @lru_cache(maxsize=16)
-def _dense_inverse(shape, mask):
-    """The symmetrised inverse of (I - P) over the sites of a coarsest
-    grid, given by its mask's shape and bytes.  Doubling n at one angle
-    keeps the coarsest mask, so a rate sweep inverts it once."""
+def _dense_inverse(shape, mask, diagonal):
+    """The symmetrised inverse of (D - P) over the sites of a coarsest
+    grid, given by its mask's shape and bytes and the bytes of D on its
+    sites in (y, x) order.  D depends on the finer grids, so a rate sweep
+    over several n at one angle inverts once per n."""
     y, x = np.nonzero(np.frombuffer(mask, dtype=bool).reshape(shape))
     ids = np.full((shape[0] + 2, shape[1] + 2), -1)
     ids[y + 1, x + 1] = np.arange(y.size)
-    A = np.eye(y.size)
+    A = np.diag(np.frombuffer(diagonal))
     for nb in (ids[y + 1, x], ids[y + 1, x + 2], ids[y, x + 1],
                ids[y + 2, x + 1]):
         on = nb >= 0
@@ -273,7 +352,18 @@ class _VCycle:
     one black-red on the way up keep the cycle symmetric and positive
     definite, as CG needs (Tatebe, Copper Mountain Conference on
     Multigrid Methods, 1993).  The coarsest grid, at most COARSEST_SITES
-    sites, is solved exactly.  Buffers are allocated once; a call writes
+    sites, is solved exactly.
+
+    Injection puts a boundary that lies t < 2^k finest-grid steps from a
+    site of level k a whole step of level k away.  So every level k >= 1
+    solves (D_k - P) with a diagonal D_k >= 1 (see _diagonal) that moves
+    the zero boundary value back to t steps; the coarse operators stay
+    symmetric positive definite.  The finest grid keeps D = 1, so the
+    operator CG solves is (I - P) alone.  Coarse grids keep their
+    right-hand sides divided by D, except the coarsest, whose dense
+    inverse carries D.  D lives only while the cycle is built.
+
+    Buffers are allocated once; a call writes
     every cell it reads before reading it, except cells that stay zero,
     so calls repeat to the last bit.  Calls must not overlap.  The finest
     grid's f is the cycle's input, which it only reads; ``_cg`` keeps its
@@ -304,13 +394,21 @@ class _VCycle:
                          -(-(xb - x0) // top) * top), dtype=bool)
         mask[ya - y0:yb - y0, xa - x0:xb - x0] = inside[ya + c:yb + c,
                                                         xa + c:xb + c]
-        grids = [_Grid(mask)]
-        for _ in range(depth):
-            grids.append(_Grid(grids[-1].mask[::2, ::2].copy()))
-        self.levels = [_Level(g, coarse) for g, coarse in zip(grids, grids[1:])]
+        grids, diagonals = [_Grid(mask)], []
+        for k, t in enumerate(_boundary_distances(mask, depth), 1):
+            diagonals.append(_diagonal(t, k))
+            grids.append(_Grid(t[0] > 0, diagonals[-1] if k < depth else None))
+        # the coarsest grid takes its right-hand side unscaled, and its
+        # dense inverse carries D
+        c = grids[-1].mask
+        D = np.ones(c.shape)
+        if diagonals:
+            iy, ix, near = diagonals.pop()
+            D[iy, ix] = near
+        self.levels = [_Level(*args) for args
+                       in zip(grids, grids[1:], diagonals + [None])]
         self.top, self.coarsest = grids[0], grids[-1]
-        c = self.coarsest.mask
-        self.inverse = _dense_inverse(c.shape, c.tobytes())
+        self.inverse = _dense_inverse(c.shape, c.tobytes(), D[c].tobytes())
         # mask rows are y, so the mask's sites come in the domain's order
         self.sites = self.top.sites
         bx, by = (d.boundary + np.asarray(z0)).T
@@ -388,7 +486,7 @@ def _coupling(d: LatticeDomain, h):
     v = np.zeros(mg.top.size)
     v[mg.boundary] = 0.25 * h
     b = mg.neighbour_sum(v)
-    b *= mg.top.quarter     # 0 off the sites; the quarter, times 4, is exact
+    b *= mg.top.weight      # 0 off the sites; the quarter, times 4, is exact
     b *= 4.0
     return b
 

@@ -18,7 +18,8 @@ from pacgreen import (ConvergenceError, DomainError, WalkRunConfig,
                       lattice_domain_from_sites)
 from pacgreen.domain import _BYTES_PER_CELL
 from pacgreen.green_discrete import (MAX_ITERATIONS, RESIDUAL_TOLERANCE,
-                                     _cg, _coupling, _exit_weights, _gather,
+                                     _boundary_distances, _cg, _coupling,
+                                     _diagonal, _exit_weights, _gather,
                                      _multigrid)
 
 PI = math.pi
@@ -82,6 +83,13 @@ def pacman_a03():
 @pytest.fixture(scope="module")
 def pacman_a25():
     return build_lattice_domain(build_geometry(2.5, 24))
+
+
+@pytest.fixture(scope="module")
+def pacman_near_pi():
+    # the sites next to the ray lie one fine step from its boundary, which
+    # the coarse grids' diagonal carries
+    return build_lattice_domain(build_geometry(PI - 1e-4, 24))
 
 
 @pytest.fixture(scope="module")
@@ -353,20 +361,27 @@ class TestOperator:
 
 
 class TestPreconditionedCG:
-    @pytest.mark.parametrize("alpha", [0.0, 1.0, PI / 2, 2.0, PI])
+    @pytest.mark.parametrize("alpha", [
+        0.0, 1.0, PI / 2, 2.0, PI,
+        # just below an aligned angle a row or column of sites next to the
+        # ray lies one fine step from its boundary
+        PI - 1e-4, 3.14, PI / 2 - 3e-8, PI / 2 + 1e-3])
     def test_iteration_guard(self, alpha):
-        # 10-14 iterations here, flat in n and alpha
+        # 9-10 iterations here, flat in n and alpha
+        counts = []
         for n in (32, 64, 128):
             d = build_lattice_domain(build_geometry(alpha, n))
             A_grid, b_grid, A, b = grid_system(d)
             x, iterations = _cg(A_grid, b_grid, _multigrid(d),
                                 RESIDUAL_TOLERANCE, MAX_ITERATIONS)
-            assert iterations <= 20
+            assert iterations <= 12
             assert np.max(np.abs(b - A @ _gather(d, x))) <= RESIDUAL_TOLERANCE
+            counts.append(iterations)
+        assert counts[-1] <= counts[0] + 1
 
     @pytest.mark.parametrize("domain", [
         "single_domain", "plus_domain", "line_domain", "pacman16",
-        "pacman_a03", "pacman_a25"])
+        "pacman_a03", "pacman_a25", "pacman_near_pi"])
     def test_preconditioner_symmetric_positive(self, domain, request):
         # CG needs M symmetric positive definite; the V-cycle is, up to
         # rounding, on multilevel domains and on those solved by the
@@ -382,12 +397,55 @@ class TestPreconditionedCG:
                     <= 1e-12 * np.linalg.norm(u) * np.linalg.norm(Mv))
             assert v @ Mv > 0
 
-    @pytest.mark.parametrize("alpha", [1.0, 2.5])
+    @pytest.mark.parametrize("alpha", [1.0, 2.5, PI - 1e-4, PI / 2 - 3e-8])
     def test_matches_sparse_direct_solve(self, alpha):
         d = build_lattice_domain(build_geometry(alpha, 16))
         A, b = origin_system(d)
         exact = spsolve(A.tocsc(), b)
         assert np.max(np.abs(green_solve(d, (0, 0)).values - exact)) <= 1e-9
+
+
+def ray_scan(mask, k):
+    """The distances of _boundary_distances at level k, by walking each
+    level-k site's four rays on the finest mask."""
+    s = 1 << k
+    H, W = mask.shape
+    t = np.zeros((4, H // s, W // s), dtype=int)
+    for i, j in zip(*np.nonzero(mask[::s, ::s])):
+        for r, (dy, dx) in enumerate(((-1, 0), (1, 0), (0, -1), (0, 1))):
+            y, x, step = i * s + dy, j * s + dx, 1
+            while step < s and 0 <= y < H and 0 <= x < W and mask[y, x]:
+                y, x, step = y + dy, x + dx, step + 1
+            t[r, i, j] = step
+    return t
+
+
+class TestCoarseDiagonal:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_distances_match_a_ray_scan(self, data):
+        depth = data.draw(st.integers(1, 3))
+        H, W = ((1 << depth) * data.draw(st.integers(1, 5)) for _ in range(2))
+        # three sites in four, so some coarse sites see no non-site
+        mask = np.array(data.draw(st.lists(st.integers(0, 3), min_size=H * W,
+                                           max_size=H * W)),
+                        dtype=bool).reshape(H, W)
+        levels = list(_boundary_distances(mask, depth))
+        assert len(levels) == depth
+        for k, t in enumerate(levels, 1):
+            expected = ray_scan(mask, k)
+            assert np.array_equal(t, expected)
+            y, x, near = _diagonal(t, k)
+            D = np.ones(t.shape[1:])
+            D[y, x] = near
+            site = expected[0] > 0
+            sums = (np.where(site, (1 << k) / np.maximum(expected, 1), 1.0)
+                    - 1.0).sum(axis=0)
+            assert np.allclose(D[site], 1.0 + 0.25 * sums[site],
+                               rtol=1e-15, atol=0)
+            far = (expected == 1 << k).all(axis=0)
+            assert np.all(D[far] == 1.0)
+            assert np.all(D[site & ~far] > 1.0)
 
 
 class TestKeptSolve:

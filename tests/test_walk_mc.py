@@ -11,6 +11,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.ndimage import distance_transform_cdt
+from scipy.sparse.linalg import spsolve
 
 from pacgreen import (ArcMeasure, DomainError, StepBudgetError, WalkRunConfig,
                       bm_arc_measure, build_geometry, build_lattice_domain,
@@ -235,7 +236,20 @@ class TestJumpEngine:
         exact = _exit_weights(d, (0, 0))
         assert not row[:d.interior_count].any()
         assert np.max(np.abs(row[d.interior_count:] - exact)) <= 1e-9
-        assert mean_time == pytest.approx(G_solve.sum(), abs=1e-9)
+        # the mean exit time against an exact solve; CG's sum is off it by
+        # tau^T r, for its residual r = e - A G and the exit times tau,
+        # A tau = 1, so within |tau|^T |r|, plus the rounding of the sums
+        m = 2 * h + 1
+        T = sp.diags([np.ones(m - 1), np.ones(m - 1)], [-1, 1])
+        A = (sp.identity(m * m) - 0.25 * (sp.kron(T, sp.identity(m))
+                                          + sp.kron(sp.identity(m), T))).tocsc()
+        e = np.zeros(m * m)
+        e[d.interior_index((0, 0))] = 1.0
+        G_exact = spsolve(A, e).sum()
+        tau = spsolve(A, np.ones(m * m))
+        assert mean_time == pytest.approx(G_exact, abs=1e-12)
+        assert (abs(G_solve.sum() - G_exact)
+                <= np.abs(tau) @ np.abs(e - A @ G_solve) + 1e-12)
 
     def test_square_law_ignores_blas_threads(self):
         # einsum sums the series in numpy's own loops; at this radius a
