@@ -447,6 +447,19 @@ class TestCoarseDiagonal:
             assert np.all(D[far] == 1.0)
             assert np.all(D[site & ~far] > 1.0)
 
+    def test_distances_past_eight_bits(self):
+        # from level 7 on a distance can reach 2^7 = 128
+        mask = np.ones((256, 256), dtype=bool)
+        mask[128, 200] = mask[40, 0] = False
+        levels = list(_boundary_distances(mask, 8))
+        for k in (6, 7, 8):
+            assert np.array_equal(levels[k - 1], ray_scan(mask, k))
+        assert levels[6].max() == 128 and levels[7].max() == 256
+        y, x, D = _diagonal(levels[7], 8)
+        # the one site of level 8, (0, 0): t = 1, 40, 1, 256
+        assert (y.tolist(), x.tolist()) == ([0], [0])
+        assert D[0] == 64 * (1 + 1 / 40 + 1 + 1 / 256)
+
 
 class TestKeptSolve:
     """A domain keeps its last Green's solve for the exit law."""
