@@ -39,18 +39,19 @@ TIP_GUARD = 1e-9
 # domain, its solver grid with the solution it keeps from its last Green's
 # solve, the level grid and the field retain 103.7 and 103.3 of them (57.4
 # and 56.8).  A rate point evaluates what follows its solve in blocks and
-# peaks at 121.3 and 119.4, the potential-kernel representation at 122.4
-# and 120.1.  At n = 32 the kernel's first call in a process, its Gauss
-# rule and table, weighs most: a rate point peaks at 304.5 there and the
-# representation at 188.4.  Since freed memory is kept for reuse, resident
-# memory after the build, the solve and the level grid stays near its
-# peak: 128 bytes per cell at n = 128 and 124 at n = 256.  270 was the
-# representation's peak at n = 32 before the blocks, kept with room to
-# spare at large n.  It is no bound at small n: the fixed costs above, and
-# numpy's and the kernel table's first-touch costs, which tracemalloc does
-# not see (a build and the representation grow VmRSS by 416 bytes per cell
-# at n = 32), exceed it there; where the guard can trigger they are
-# negligible.
+# peaks at 119.7 and 119.4, the potential-kernel representation at 119.8
+# and 119.4.  At n = 32 the kernel's first call in a process, its Gauss
+# rule and table, weighs most: a rate point peaks at 182.5 there and the
+# representation at 147.7 (304.5 and 188.4 with numpy's leggauss, whose
+# companion matrix peaked at 2.8 MB).  Since freed memory is kept for
+# reuse, resident memory after the build, the solve and the level grid
+# stays near its peak: 128 bytes per cell at n = 128 and 124 at n = 256.
+# 270 was the representation's peak at n = 32 before the blocks, kept with
+# room to spare at large n.  It is no bound at small n: the fixed costs
+# above, and numpy's and the kernel table's first-touch costs, which
+# tracemalloc does not see (a build and the representation grow VmRSS by
+# 416 bytes per cell at n = 32), exceed it there; where the guard can
+# trigger they are negligible.
 _BYTES_PER_CELL = 270
 
 

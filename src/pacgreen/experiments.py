@@ -30,7 +30,7 @@ from .domain import (PacmanGeometry, _as_complex, build_geometry,
                      require_memory, require_scale)
 from .errors import DomainError, FitError
 from .green_continuous import bm_arc_measure, green_pacman_many
-from .green_discrete import green_solve
+from .green_discrete import _dot, green_solve
 from .potential import SITE_BLOCK, kernel_remainder
 from .walk_mc import WalkRunConfig, mean_stderr, sample_exits, trial_rng
 
@@ -53,10 +53,10 @@ def fit_loglog(points) -> tuple[float, float, float]:
         raise FitError("scales and values must be positive")
     x, y = np.log(scales), np.log(values)
     dx = x - x.mean()
-    denom = float(dx @ dx)
+    denom = float(_dot(dx, dx))
     if denom == 0.0:
         raise FitError("scales are all identical")
-    slope = float(dx @ (y - y.mean())) / denom
+    slope = float(_dot(dx, y - y.mean())) / denom
     intercept = float(y.mean() - slope * x.mean())
     resid = y - (intercept + slope * x)
     ss_tot = float(((y - y.mean()) ** 2).sum())

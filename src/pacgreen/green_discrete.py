@@ -65,8 +65,8 @@ _RED, _BLACK = (0, 3), (1, 2)
 
 def _dot(a, b):
     """a . b, summed by numpy's own loops: two-operand einsum without
-    optimize does not call BLAS, so solves do not depend on the BLAS
-    thread count."""
+    optimize does not call BLAS, so solves and fits do not depend on the
+    BLAS thread count."""
     return np.einsum("i,i->", a, b)
 
 
@@ -407,6 +407,9 @@ class _VCycle:
             D[iy, ix] = near
         self.levels = [_Level(*args) for args
                        in zip(grids, grids[1:], diagonals + [None])]
+        # only the finest and the coarsest grids read their sites again
+        for grid in grids[1:-1]:
+            del grid.sites
         self.top, self.coarsest = grids[0], grids[-1]
         self.inverse = _dense_inverse(c.shape, c.tobytes(), D[c].tobytes())
         # mask rows are y, so the mask's sites come in the domain's order

@@ -14,6 +14,13 @@ whose integrand extends analytically to t = 0, so Gauss-Legendre nodes
 the direct tensor-product rule over both axes, whose node spacing near
 the removable singularity limits that rule to |x| below roughly 50.
 
+The Gauss-Legendre rule comes from Newton iteration on the Legendre
+recurrence in numpy's own loops, so the kernel, like the solver, calls
+neither BLAS nor LAPACK.  The quadrature needs cos(x1 t) and rho^|x2| at
+every node: ``potential_exact_many`` evaluates them once per distinct
+|x1| and |x2| of a call, and the table's fill one cos row per table row
+and the powers once per fill; a point's value is the same bits either way.
+
 For large |x| the expansion a(x) = (2/pi) log|x| + k0 + O(|x|^-2) with
 k0 = (2 gamma + 3 log 2)/pi takes over.
 
@@ -49,9 +56,49 @@ EXACT_RADIUS = 200
 DEFAULT_CONFIG = types.SimpleNamespace(asymptotic_cutoff_radius=EXACT_RADIUS)
 
 
+def _legendre_rule(n: int):
+    """Gauss-Legendre nodes (ascending) and weights of even order n on
+    [-1, 1], without LAPACK.
+
+    Newton iteration in theta, x = cos theta, on P_n from the three-term
+    recurrence (Hale & Townsend, SIAM J. Sci. Comput. 35(2), 2013),
+    vectorised over the n/2 positive nodes and mirrored.  The recurrence
+    runs on x - 1 = -2 sin^2(theta/2) and the differences p_j - p_(j-1)
+    (Reinsch's form), which keeps the nodes near x = 1 to full relative
+    precision.  From Tricomi's guess three steps reach rounding; the
+    weights 2 / (dP_n/dtheta)^2 come from a fourth evaluation, whose step
+    moves a node by rounding only.
+    """
+    k = np.arange(1, n // 2 + 1)
+    theta = np.arccos((1.0 - (n - 1) / (8.0 * n ** 3))
+                      * np.cos((4 * k - 1) * (math.pi / (4 * n + 2))))
+    p, d, hp = (np.empty_like(theta) for _ in range(3))
+    for _ in range(4):
+        h = np.sin(theta / 2.0)
+        h *= -2.0 * h                   # x - 1
+        np.add(1.0, h, out=p)           # p_1 = x
+        np.copyto(d, h)                 # p_1 - p_0
+        for j in range(1, n):
+            # (j + 1)(p_(j+1) - p_j) = (2j + 1)(x - 1) p_j + j (p_j - p_(j-1))
+            np.multiply(h, p, out=hp)
+            hp *= (2 * j + 1) / (j + 1)
+            d *= j / (j + 1)
+            d += hp
+            p += d
+        # dP_n/dtheta = n (x p_n - p_(n-1)) / sin theta
+        dp = h * p
+        dp += d
+        dp *= n
+        dp /= np.sin(theta)
+        theta -= p / dp
+    x = np.cos(theta)                   # descending
+    w = 2.0 / (dp * dp)
+    return np.concatenate([-x, x[::-1]]), np.concatenate([w, w[::-1]])
+
+
 @lru_cache(maxsize=1)
 def _gauss_rule():
-    nodes, weights = np.polynomial.legendre.leggauss(QUADRATURE_ORDER)
+    nodes, weights = _legendre_rule(QUADRATURE_ORDER)
     t = (nodes + 1.0) * (math.pi / 2.0)
     w = weights * (math.pi / 2.0)
     half = np.sin(t / 2.0)
@@ -70,23 +117,55 @@ _BLOCK = 64
 SITE_BLOCK = 8192
 
 
+def _cos_rows(x1) -> np.ndarray:
+    """cos(x1 t) at the nodes, one row per entry of x1 (floats)."""
+    f = np.multiply(np.asarray(x1, dtype=np.float64)[..., None],
+                    _gauss_rule()[0])
+    return np.cos(f, out=f)
+
+
+def _rho_rows(x2) -> np.ndarray:
+    """rho(t)^x2 at the nodes, one row per entry of x2 (floats)."""
+    return np.power(_gauss_rule()[3],
+                    np.asarray(x2, dtype=np.float64)[..., None])
+
+
+def _integrate(f, out):
+    """out = a at a block's points, from f = cos(x1 t) rho^x2 with one row
+    a point; f is overwritten.  Each row is combined in the order of the
+    one-point formula, so a point's value does not depend on its block."""
+    _, w, s, _ = _gauss_rule()
+    # (1 - cos(x1 t) rho^x2) / s, times the weights, in place
+    np.subtract(1.0, f, out=f)
+    f /= s
+    f *= w
+    # row sums, not f @ w: BLAS rounds a row by its place in the block,
+    # and a point's value must not depend on the points beside it
+    np.multiply(f.sum(axis=1), 2.0 / math.pi, out=out)
+
+
 def potential_exact_many(xs, ys) -> np.ndarray:
-    """Vectorized exact kernel over integer offset arrays xs, ys."""
-    t, w, s, rho = _gauss_rule()
-    x1 = np.abs(np.asarray(xs, dtype=np.float64))
-    x2 = np.abs(np.asarray(ys, dtype=np.float64))
-    out = np.empty(x1.shape, dtype=np.float64)
-    for lo in range(0, x1.shape[0], _BLOCK):
-        # (1 - cos(x1 t) rho^x2) / s, times the weights, in place
-        f = np.multiply(x1[lo:lo + _BLOCK, None], t)
-        np.cos(f, out=f)
-        f *= np.power(rho, x2[lo:lo + _BLOCK, None])
-        np.subtract(1.0, f, out=f)
-        f /= s
-        f *= w
-        # row sums, not f @ w: BLAS rounds a row by its place in the block,
-        # and a point's value must not depend on the points beside it
-        out[lo:lo + _BLOCK] = (2.0 / math.pi) * f.sum(axis=1)
+    """Vectorized exact kernel over 1-D integer offset arrays xs, ys.
+
+    cos(x1 t) is evaluated once per distinct |x1| and rho^|x2| once per
+    distinct |x2|: two tables of (distinct values) x QUADRATURE_ORDER
+    doubles, besides the blocks' temporaries.
+    """
+    x1, i1 = np.unique(np.abs(np.asarray(xs, dtype=np.float64)),
+                       return_inverse=True)
+    x2, i2 = np.unique(np.abs(np.asarray(ys, dtype=np.float64)),
+                       return_inverse=True)
+    cos_rows, rho_rows = _cos_rows(x1), _rho_rows(x2)
+    out = np.empty(i1.shape)
+    f = np.empty((min(_BLOCK, i1.size), QUADRATURE_ORDER))
+    g = np.empty_like(f)
+    for lo in range(0, i1.size, _BLOCK):
+        b = slice(lo, lo + _BLOCK)
+        m = out[b].size
+        np.take(cos_rows, i1[b], axis=0, out=f[:m])
+        np.take(rho_rows, i2[b], axis=0, out=g[:m])
+        f[:m] *= g[:m]
+        _integrate(f[:m], out[b])
     return out
 
 
@@ -111,9 +190,10 @@ class _RemainderTable:
 
     Rows 0..rows-1 are filled; entries beyond EXACT_RADIUS (and the
     origin) stay 0.  One full-size array, filled a row at a time: growing
-    it mid-computation then adds no more than a row's temporaries to the
-    caller's peak, and no new allocation on top of the heap to keep freed
-    memory resident.
+    it mid-computation then adds no more than the fill's rho^y rows (0.8
+    MB to EXACT_RADIUS) and one block's temporaries to the caller's peak,
+    and no new allocation on top of the heap to keep freed memory
+    resident.
     """
 
     def __init__(self):
@@ -122,12 +202,22 @@ class _RemainderTable:
 
     def upto(self, m: int) -> np.ndarray:
         """The table with at least rows 0..min(m, EXACT_RADIUS) filled."""
-        for x in range(self.rows, min(m, EXACT_RADIUS) + 1):
-            y = np.arange(x + 1)
-            r = np.hypot(x, y)
-            y, r = y[r <= EXACT_RADIUS], r[r <= EXACT_RADIUS]
-            self.eps[x, y] = (potential_exact_many(np.full(y.size, x), y)
-                              - (2.0 / math.pi) * np.log(r) - K0)
+        m = min(m, EXACT_RADIUS)
+        if m < self.rows:
+            return self.eps
+        # each row reads one row of cos(x t) and the rows of rho^y from
+        # y = 0, as slices of one table for all the new rows
+        rho_rows = _rho_rows(np.arange(m + 1))
+        f = np.empty((_BLOCK, QUADRATURE_ORDER))
+        for x in range(self.rows, m + 1):
+            cos_x = _cos_rows(x)
+            y = np.arange(min(x, math.isqrt(EXACT_RADIUS ** 2 - x * x)) + 1)
+            a = np.empty(y.size)
+            for lo in range(0, y.size, _BLOCK):
+                hi = min(lo + _BLOCK, y.size)
+                np.multiply(cos_x, rho_rows[lo:hi], out=f[:hi - lo])
+                _integrate(f[:hi - lo], a[lo:hi])
+            self.eps[x, y] = a - (2.0 / math.pi) * np.log(np.hypot(x, y)) - K0
             self.rows = x + 1
         return self.eps
 
