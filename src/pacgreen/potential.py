@@ -17,9 +17,9 @@ the removable singularity limits that rule to |x| below roughly 50.
 The Gauss-Legendre rule comes from Newton iteration on the Legendre
 recurrence in numpy's own loops, so the kernel, like the solver, calls
 neither BLAS nor LAPACK.  The quadrature needs cos(x1 t) and rho^|x2| at
-every node: ``potential_exact_many`` evaluates them once per distinct
-|x1| and |x2| of a call, and the table's fill one cos row per table row
-and the powers once per fill; a point's value is the same bits either way.
+every node: the remainder table's fill evaluates one cos row per table
+row and the powers once per fill, and gives each point the same bits as
+``potential_exact_many``, which evaluates both rows per point.
 
 For large |x| the expansion a(x) = (2/pi) log|x| + k0 + O(|x|^-2) with
 k0 = (2 gamma + 3 log 2)/pi takes over.
@@ -145,27 +145,14 @@ def _integrate(f, out):
 
 
 def potential_exact_many(xs, ys) -> np.ndarray:
-    """Vectorized exact kernel over 1-D integer offset arrays xs, ys.
-
-    cos(x1 t) is evaluated once per distinct |x1| and rho^|x2| once per
-    distinct |x2|: two tables of (distinct values) x QUADRATURE_ORDER
-    doubles, besides the blocks' temporaries.
-    """
-    x1, i1 = np.unique(np.abs(np.asarray(xs, dtype=np.float64)),
-                       return_inverse=True)
-    x2, i2 = np.unique(np.abs(np.asarray(ys, dtype=np.float64)),
-                       return_inverse=True)
-    cos_rows, rho_rows = _cos_rows(x1), _rho_rows(x2)
-    out = np.empty(i1.shape)
-    f = np.empty((min(_BLOCK, i1.size), QUADRATURE_ORDER))
-    g = np.empty_like(f)
-    for lo in range(0, i1.size, _BLOCK):
-        b = slice(lo, lo + _BLOCK)
-        m = out[b].size
-        np.take(cos_rows, i1[b], axis=0, out=f[:m])
-        np.take(rho_rows, i2[b], axis=0, out=g[:m])
-        f[:m] *= g[:m]
-        _integrate(f[:m], out[b])
+    """Vectorized exact kernel over 1-D integer offset arrays xs, ys."""
+    x1 = np.abs(np.asarray(xs, dtype=np.float64))
+    x2 = np.abs(np.asarray(ys, dtype=np.float64))
+    out = np.empty(x1.shape)
+    for lo in range(0, x1.size, _BLOCK):
+        f = _cos_rows(x1[lo:lo + _BLOCK])
+        f *= _rho_rows(x2[lo:lo + _BLOCK])
+        _integrate(f, out[lo:lo + _BLOCK])
     return out
 
 
