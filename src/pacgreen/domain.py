@@ -35,17 +35,16 @@ TIP_GUARD = 1e-9
 # Peak bytes per cell of the (4n + 3)^2 grid, by tracemalloc in a fresh
 # process with the build inside the window, at alpha = 0, the largest
 # domain.  A build, a Green's solve and the walk engine's level grid peak at
-# 119.7 at n = 128 and 119.4 at n = 256 (64.6 and 64.0 at alpha = pi); the
+# 98.1 at n = 128 and 97.7 at n = 256 (53.8 and 53.1 at alpha = pi); the
 # domain, its solver grid with the solution it keeps from its last Green's
-# solve, the level grid and the field retain 103.7 and 103.3 of them (57.4
-# and 56.8).  A rate point evaluates what follows its solve in blocks and
-# peaks at 119.7 and 119.4, the potential-kernel representation at 119.8
-# and 119.4.  At n = 32 the kernel's first call in a process, its Gauss
-# rule and table, weighs most: a rate point peaks at 182.5 there and the
-# representation at 147.7 (304.5 and 188.4 with numpy's leggauss, whose
-# companion matrix peaked at 2.8 MB).  Since freed memory is kept for
-# reuse, resident memory after the build, the solve and the level grid
-# stays near its peak: 128 bytes per cell at n = 128 and 124 at n = 256.
+# solve, the level grid and the field retain 81.9 and 81.6 of them (46.4
+# and 45.9).  A rate point evaluates what follows its solve in blocks and
+# peaks at 98.2 and 97.7, the potential-kernel representation at 98.3
+# and 97.7.  At n = 32 the kernel's first call in a process, its Gauss
+# rule and table, weighs most: a rate point peaks at 160.5 there and the
+# representation at 125.7.  Since freed memory is kept for reuse, resident
+# memory after the build, the solve and the level grid stays near its
+# peak: 110 bytes per cell at n = 128 and 105 at n = 256.
 # 270 was the representation's peak at n = 32 before the blocks, kept with
 # room to spare at large n.  It is no bound at small n: the fixed costs
 # above, and numpy's and the kernel table's first-touch costs, which

@@ -133,9 +133,9 @@ class _Grid:
         # row-major over the mask, so in (y, x) order
         self.sites = self.cells(np.arange(mask.shape[0])[:, None],
                                 np.arange(mask.shape[1]))[mask]
-        self.u = np.zeros(self.size)
-        self.f = np.zeros(self.size)
-        self.weight = np.zeros(self.size)
+        self.u = np.zeros(self.size, np.float32)
+        self.f = np.zeros(self.size, np.float32)
+        self.weight = np.zeros(self.size, np.float32)
         self.weight[self.sites] = 0.25
         self.scaled = diagonal is not None
         if self.scaled:
@@ -210,9 +210,9 @@ class _Level:
 
     def __init__(self, grid: _Grid, coarse: _Grid, diagonal=None):
         C, S = grid.row, grid.span
-        self.tmp = np.empty(S)
-        at_sites = np.zeros(grid.plane + 1)
-        at_centres = np.zeros(grid.plane + 1)
+        self.tmp = np.empty(S, np.float32)
+        at_sites = np.zeros(grid.plane + 1, np.float32)
+        at_centres = np.zeros(grid.plane + 1, np.float32)
         # plane 0's own slice starts at C - 1 and plane 3's at 0; the
         # centres sit two cells in, so the first coarse site's centre at
         # (i - 1, j - 1) is in the array
@@ -363,11 +363,18 @@ class _VCycle:
     right-hand sides divided by D, except the coarsest, whose dense
     inverse carries D.  D lives only while the cycle is built.
 
+    The cycle works in float32, apart from the coarsest grid's dense
+    inverse.  It is only CG's preconditioner, and CG stops on the float64
+    true residual, so the cycle's precision sets the iteration count, not
+    what a solve means, and its passes, bound by memory traffic, move half
+    the bytes (Goeddeke, Strzodka & Turek, Int. J. Parallel Emergent
+    Distrib. Syst. 22(4), 2007).  Rounding leaves it symmetric to float32
+    precision only.  The operator, B, B^T and CG stay float64.
+
     Buffers are allocated once; a call writes
     every cell it reads before reading it, except cells that stay zero,
-    so calls repeat to the last bit.  Calls must not overlap.  The finest
-    grid's f is the cycle's input, which it only reads; ``_cg`` keeps its
-    residual there, so solves on one domain must not overlap either.
+    so calls repeat to the last bit.  Calls must not overlap, nor may
+    solves on one domain, which share the operator's buffers.
 
     ``sites`` and ``boundary`` are the finest grid's cells of the domain's
     interior and boundary sites, in the domain's order.  ``green`` holds
@@ -423,11 +430,9 @@ class _VCycle:
         self.green = (-1, None)
 
     def __call__(self, r):
-        """One V-cycle from f = r on the finest grid; r may be the finest
-        grid's f itself, which the cycle only reads.  Returns the finest
-        grid's u, overwritten by the next call."""
-        if r is not self.top.f:
-            np.copyto(self.top.f, r)
+        """One V-cycle from f = r, rounded to float32, on the finest grid.
+        Returns the finest grid's u, overwritten by the next call."""
+        np.copyto(self.top.f, r)
         for level in self.levels:
             level.down()
         c = self.coarsest
@@ -496,18 +501,19 @@ def _coupling(d: LatticeDomain, h):
 
 def _cg(A, b, precond, tol, maxit):
     """Preconditioned CG on x -> A(x); stops when the true residual's
-    max-norm is <= tol.  precond is the domain's V-cycle, and the residual
-    lives in its input, the finest grid's f.  A and precond may return
-    buffers of their own that their next call overwrites."""
+    max-norm is <= tol.  precond is the domain's V-cycle, which works in
+    float32; x, p and the residual r stay float64.  A and precond may
+    return buffers of their own that their next call overwrites.  The
+    cycle's operator scratch q is free once A has returned, and holds the
+    updates' products."""
     x = np.zeros_like(b)
-    r = precond.top.f
-    np.copyto(r, b)
+    r = b.copy()
     if _max_abs(r) <= tol:
         return x, 0
     z = precond(r)
-    p = z.copy()
+    p = z.astype(np.float64)
     rz = _dot(r, z)
-    tmp = np.empty_like(b)
+    tmp = precond.q
     for it in range(1, maxit + 1):
         Ap = A(p)
         step = rz / _dot(p, Ap)

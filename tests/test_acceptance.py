@@ -125,15 +125,13 @@ def rate_results():
     return {res.alpha: res for res in results}, time.time() - t0
 
 
-@pytest.mark.parametrize("alpha", ALPHAS)
-def test_criterion_6_rate_band(rate_results, alpha):
+def _check_rate_band(res):
     """Slope of ln(corrected sup err) vs ln(1/n) within [c-0.15, c+0.25].
 
     The corrected error |G - (2/pi) g + eps| has the kernel remainder eps
     taken out (see module docstring); the raw slope is printed alongside.
     """
-    results, _ = rate_results
-    res = results[alpha]
+    alpha = res.alpha
     lo, hi = res.c_alpha - 0.15, res.c_alpha + 0.25
     ok = lo <= res.corrected_slope <= hi
     report(6, ok, f"alpha={alpha:.4f}: corrected slope="
@@ -145,6 +143,21 @@ def test_criterion_6_rate_band(rate_results, alpha):
         f"[{lo:.2f}, {hi:.2f}]; corrected sups "
         f"{[p.corrected_sup_error for p in res.points]} at n = "
         f"{[p.n for p in res.points]}")
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_criterion_6_rate_band(rate_results, alpha):
+    results, _ = rate_results
+    _check_rate_band(results[alpha])
+
+
+# Off the special angles: the three unaligned angles with the least room
+# above the band's lower edge, +0.10 to +0.11, in a scan of 17 evenly
+# spaced angles; only alpha = pi has less
+@pytest.mark.parametrize("alpha", [0.982, 1.767, 2.945])
+def test_criterion_6_rate_band_off_the_special_angles(alpha):
+    res, = rate_sweep(ExperimentConfig(alphas=(alpha,), ns=(32, 64, 128, 256)))
+    _check_rate_band(res)
 
 
 def test_criterion_6_ordering_and_runtime(rate_results):

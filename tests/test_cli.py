@@ -2,6 +2,8 @@ import hashlib
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -308,3 +310,32 @@ class TestRenderPlot:
     def test_self_contained(self):
         svg = render_rate_plot([(0.0, 0.5, [(0.3, 0.1), (0.2, 0.07)])])
         assert "http" not in svg.replace("http://www.w3.org/2000/svg", "")
+
+
+def readme_commands():
+    """Every ``pacgreen`` command the README quotes: the lines of its
+    fenced code blocks, with backslash continuations joined, and its
+    inline code spans that pass options."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", text, re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    lines += re.findall(r"`(pacgreen [^`]*--[^`]*)`", text)
+    return [shlex.split(line, comments=True) for line in lines
+            if line.lstrip().startswith("pacgreen ")]
+
+
+class TestReadme:
+    def test_quotes_commands(self):
+        # the quick tour in the Command line section, and the sweep the
+        # Allocator paragraph quotes
+        assert len(readme_commands()) >= 7
+
+    @pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+    def test_quoted_command_parses(self, argv):
+        # parsed, not run: argparse exits on what the CLI would refuse
+        try:
+            _parser().parse_args(argv[1:])
+        except SystemExit as exc:
+            pytest.fail(f"{' '.join(argv)}: exit {exc.code}")
