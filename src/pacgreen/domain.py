@@ -32,25 +32,13 @@ from .errors import DomainError
 # Distance below which a point counts as sitting on the tip singularity.
 TIP_GUARD = 1e-9
 
-# Peak bytes per cell of the (4n + 3)^2 grid, by tracemalloc in a fresh
-# process with the build inside the window, at alpha = 0, the largest
-# domain.  A build, a Green's solve and the walk engine's level grid peak at
-# 98.1 at n = 128 and 97.7 at n = 256 (53.8 and 53.1 at alpha = pi); the
-# domain, its solver grid with the solution it keeps from its last Green's
-# solve, the level grid and the field retain 81.9 and 81.6 of them (46.4
-# and 45.9).  A rate point evaluates what follows its solve in blocks and
-# peaks at 98.2 and 97.7, the potential-kernel representation at 98.3
-# and 97.7.  At n = 32 the kernel's first call in a process, its Gauss
-# rule and table, weighs most: a rate point peaks at 160.5 there and the
-# representation at 125.7.  Since freed memory is kept for reuse, resident
-# memory after the build, the solve and the level grid stays near its
-# peak: 110 bytes per cell at n = 128 and 105 at n = 256.
-# 270 was the representation's peak at n = 32 before the blocks, kept with
-# room to spare at large n.  It is no bound at small n: the fixed costs
-# above, and numpy's and the kernel table's first-touch costs, which
-# tracemalloc does not see (a build and the representation grow VmRSS by
-# 416 bytes per cell at n = 32), exceed it there; where the guard can
-# trigger they are negligible.
+# Bytes per cell of the (4n + 3)^2 grid that a build and what follows it,
+# a Green's solve or a rate point, may take at their peak.  At large n,
+# where the guard can trigger (about n = 1 410 with 8 GiB), tracemalloc
+# peaks near 98 at alpha = 0, the largest domain, so 270 leaves room for
+# what a peak does not see: first-touch pages and freed memory kept for
+# reuse.  At small n fixed costs exceed it, but there the guard never
+# triggers.  The measurements are in CHANGES.md.
 _BYTES_PER_CELL = 270
 
 
@@ -180,14 +168,20 @@ def arc_index(g: PacmanGeometry, z) -> int:
     Buckets have width log^2 n; everything at tip-distance
     >= (N - 1) log^2 n, including the circular part, maps to N.
     """
-    r = abs(_as_complex(z) + g.z0_complex)
-    return min(g.N, int(r / g.bucket_width) + 1)
+    return int(arc_index_of_radius(g, abs(_as_complex(z) + g.z0_complex)))
+
+
+def arc_edges(g: PacmanGeometry) -> np.ndarray:
+    """Tip-radii k log^2 n, k = 0..N, capped at the radius 2n: arc k covers
+    [edges[k - 1], edges[k]) on both rays."""
+    return np.minimum(np.arange(g.N + 1, dtype=np.float64) * g.bucket_width,
+                      g.radius)
 
 
 def arc_index_of_radius(g: PacmanGeometry, r):
     """Vectorized arc bucket from tip-distance r."""
-    k = np.floor(np.asarray(r, dtype=np.float64) / g.bucket_width).astype(np.int64) + 1
-    return np.minimum(k, g.N)
+    k = np.floor(np.asarray(r, dtype=np.float64) / g.bucket_width) + 1
+    return np.minimum(k, g.N).astype(np.int64)
 
 
 def nearest_boundary(g: PacmanGeometry, z) -> tuple[float, int]:
@@ -205,8 +199,7 @@ def nearest_boundary(g: PacmanGeometry, z) -> tuple[float, int]:
     # circular arc
     candidates.append((abs(R - abs(w)), R))
     d, t = min(candidates)
-    k = min(g.N, int(t / g.bucket_width) + 1)
-    return d, k
+    return d, int(arc_index_of_radius(g, t))
 
 
 @dataclass

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import (PacmanGeometry, _as_complex, build_geometry,
+from .domain import (PacmanGeometry, _as_complex, arc_edges, build_geometry,
                      build_lattice_domain, c_alpha, contains, nearest_boundary,
                      require_memory, require_scale)
 from .errors import DomainError, FitError
@@ -208,9 +208,8 @@ def expdiff_estimate(g: PacmanGeometry, x, y,
     rng = trial_rng(walk_cfg.seed, _BM_STREAM)
     u = rng.random(walk_cfg.trials) * cum[-1]
     k = np.searchsorted(cum, u, side="right")          # 0-based bucket
-    L2 = g.bucket_width
-    lo = k * L2
-    hi = np.minimum((k + 1) * L2, g.radius)
+    edges = arc_edges(g)
+    lo, hi = edges[k], edges[k + 1]
     rho = lo + rng.random(walk_cfg.trials) * (hi - lo)
     b_radii = np.abs(rho - g.z0_complex)
 

@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .domain import TIP_GUARD, PacmanGeometry, _as_complex, contains
+from .domain import TIP_GUARD, PacmanGeometry, _as_complex, arc_edges, contains
 from .errors import DomainError, SingularityError
 from .walk_mc import ArcMeasure
 
@@ -161,10 +161,8 @@ def _ray_images(g: PacmanGeometry, radii: np.ndarray):
     """
     q = (radii / g.radius) ** g.c_alpha
     with np.errstate(divide="ignore"):
-        inv = np.where(q > 0, 1.0 / np.where(q > 0, q, 1.0), np.inf)
-    v0 = np.where(q > 0, -(q + inv), -np.inf)
-    v1 = np.where(q > 0, q + inv, np.inf)
-    return v0, v1
+        v1 = q + 1.0 / q
+    return -v1, v1
 
 
 def bm_arc_measure(g: PacmanGeometry, x) -> ArcMeasure:
@@ -185,9 +183,7 @@ def bm_arc_measure(g: PacmanGeometry, x) -> ArcMeasure:
         with np.errstate(invalid="ignore"):
             return np.arctan((t - px) / py) / math.pi
 
-    radii = np.minimum(np.arange(g.N + 1, dtype=np.float64) * g.bucket_width,
-                       g.radius)
-    v0, v1 = _ray_images(g, radii)
+    v0, v1 = _ray_images(g, arc_edges(g))
     c0, c1 = cdf(v0), cdf(v1)
     measures = (c0[1:] - c0[:-1]) + (c1[:-1] - c1[1:])
     measures[-1] += cdf(2.0) - cdf(-2.0)

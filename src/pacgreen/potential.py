@@ -145,9 +145,18 @@ def _integrate(f, out):
 
 
 def potential_exact_many(xs, ys) -> np.ndarray:
-    """Vectorized exact kernel over 1-D integer offset arrays xs, ys."""
-    x1 = np.abs(np.asarray(xs, dtype=np.float64))
-    x2 = np.abs(np.asarray(ys, dtype=np.float64))
+    """Vectorized exact kernel over 1-D integer offset arrays xs, ys.
+
+    DomainError for an offset beyond QUADRATURE_ORDER in absolute value:
+    past it the rule stops resolving cos(x1 t), and at |x| = 640 it is off
+    by 7e-3.  Offsets are compared before any float conversion."""
+    xs, ys = np.asarray(xs), np.asarray(ys)
+    for v in (xs, ys):
+        if v.size and not -QUADRATURE_ORDER <= v.min() <= v.max() <= QUADRATURE_ORDER:
+            raise DomainError(f"the exact kernel takes offsets within "
+                              f"{QUADRATURE_ORDER} only")
+    x1 = np.abs(xs.astype(np.float64))
+    x2 = np.abs(ys.astype(np.float64))
     out = np.empty(x1.shape)
     for lo in range(0, x1.size, _BLOCK):
         f = _cos_rows(x1[lo:lo + _BLOCK])
@@ -157,7 +166,8 @@ def potential_exact_many(xs, ys) -> np.ndarray:
 
 
 def potential_exact(x) -> float:
-    """a(x) by quadrature; a(0) = 0 exactly."""
+    """a(x) by quadrature; a(0) = 0 exactly.  DomainError beyond
+    QUADRATURE_ORDER in either coordinate."""
     x1, x2 = int(x[0]), int(x[1])
     if x1 == 0 and x2 == 0:
         return 0.0

@@ -9,6 +9,8 @@ constant-stability checks stay on the raw sup error.
 """
 
 import math
+import os
+import re
 import time
 
 import numpy as np
@@ -145,10 +147,37 @@ def _check_rate_band(res):
         f"{[p.n for p in res.points]}")
 
 
+def readme_slope_table():
+    """The README's slope table as {(row, alpha): cell}, the angles of its
+    head row read with pi/2 and pi spelled out."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as fh:
+        table = re.search(r"^\| α \|.*?\n(?!\|)", fh.read(), re.M | re.S)
+    rows = [[c.strip() for c in line.strip("|").split("|")]
+            for line in table.group().splitlines()]
+    angles = [{"π/2": PI / 2, "π": PI}.get(c) or float(c) for c in rows[0][1:]]
+    return {(row[0], a): c for row in rows[2:] for a, c in zip(angles, row[1:])}
+
+
+def _check_readme_column(res):
+    """The README quotes c_alpha and both slopes to the decimals shown."""
+    table = readme_slope_table()
+    quoted = [table[row, res.alpha]
+              for row in ("c_α", "raw slope", "corrected slope")]
+    assert quoted == [f"{v:.3f}" for v in
+                      (res.c_alpha, res.slope, res.corrected_slope)]
+
+
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_criterion_6_rate_band(rate_results, alpha):
     results, _ = rate_results
     _check_rate_band(results[alpha])
+
+
+def test_readme_slope_table(rate_results):
+    results, _ = rate_results
+    for res in results.values():
+        _check_readme_column(res)
 
 
 # Off the special angles: the three unaligned angles with the least room
@@ -158,6 +187,7 @@ def test_criterion_6_rate_band(rate_results, alpha):
 def test_criterion_6_rate_band_off_the_special_angles(alpha):
     res, = rate_sweep(ExperimentConfig(alphas=(alpha,), ns=(32, 64, 128, 256)))
     _check_rate_band(res)
+    _check_readme_column(res)
 
 
 def test_criterion_6_ordering_and_runtime(rate_results):

@@ -38,6 +38,11 @@ class TestPotentialCommand:
     def test_bad_int(self):
         assert dispatch(["potential", "--x", "abc", "--y", "0"]) == 2
 
+    @pytest.mark.parametrize("x", ["700", str(10 ** 400)], ids=["700", "1e400"])
+    def test_past_the_quadrature_reach(self, x, capsys):
+        assert dispatch(["potential", "--x", x, "--y", "0"]) == 2
+        assert "usage error" in capsys.readouterr().err
+
 
 class TestArcsCommand:
     def test_walk_determinism(self, tmp_path):
@@ -312,14 +317,24 @@ class TestRenderPlot:
         assert "http" not in svg.replace("http://www.w3.org/2000/svg", "")
 
 
+def readme_text():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+def readme_blocks(text):
+    """The fenced code blocks of the README's text as (info string, body)
+    pairs."""
+    return re.findall(r"^```([^\n]*)\n(.*?)^```", text, re.M | re.S)
+
+
 def readme_commands():
     """Every ``pacgreen`` command the README quotes: the lines of its
     fenced code blocks, with backslash continuations joined, and its
     inline code spans that pass options."""
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", text, re.M | re.S)
+    text = readme_text()
+    blocks = [body for _, body in readme_blocks(text)]
     lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
     lines += re.findall(r"`(pacgreen [^`]*--[^`]*)`", text)
     return [shlex.split(line, comments=True) for line in lines
@@ -328,9 +343,16 @@ def readme_commands():
 
 class TestReadme:
     def test_quotes_commands(self):
-        # the quick tour in the Command line section, and the sweep the
-        # Allocator paragraph quotes
+        # the quick tour in the Command line section, the refusal the exit
+        # codes quote and the sweep the Allocator rule quotes
         assert len(readme_commands()) >= 7
+
+    def test_quick_start_runs(self, capsys):
+        # the Quick start block runs and prints the block that follows it
+        blocks = readme_blocks(readme_text())
+        i = [info for info, _ in blocks].index("python")
+        exec(compile(blocks[i][1], "README.md", "exec"), {})
+        assert capsys.readouterr().out == blocks[i + 1][1]
 
     @pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
     def test_quoted_command_parses(self, argv):

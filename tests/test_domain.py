@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from pacgreen import (DomainError, arc_index, bm_arc_measure, build_geometry,
                       build_lattice_domain, c_alpha, contains, green_pacman,
                       green_solve, lattice_domain_from_sites, nearest_boundary)
-from pacgreen.domain import (_BYTES_PER_CELL, _keep_freed_memory,
+from pacgreen.domain import (_BYTES_PER_CELL, _keep_freed_memory, arc_edges,
                              arc_index_of_radius, require_memory,
                              require_scale, sector_mask)
 from pacgreen.walk_mc import _jump_tables
@@ -449,6 +449,15 @@ class TestArcIndex:
         g = build_geometry(0.0, 64)
         z = -g.z0_complex + 3.2 * g.bucket_width
         assert arc_index(g, z) == 4
+
+    @pytest.mark.parametrize("alpha,n", [(0.0, 16), (PI / 2, 33), (PI, 100)])
+    def test_edges_bound_the_buckets(self, alpha, n):
+        # arc k covers [edges[k - 1], edges[k]); the last edge is the radius
+        g = build_geometry(alpha, n)
+        edges = arc_edges(g)
+        mid = (edges[:-1] + edges[1:]) / 2
+        assert arc_index_of_radius(g, mid).tolist() == list(range(1, g.N + 1))
+        assert edges[0] == 0.0 and edges[-1] == g.radius
 
     def test_nondecreasing_and_all_nonempty(self):
         for alpha in (0.0, PI / 2, PI):

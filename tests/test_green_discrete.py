@@ -1,5 +1,7 @@
+import ast
 import math
 import os
+import pathlib
 import subprocess
 import sys
 import tracemalloc
@@ -11,6 +13,7 @@ from scipy.sparse.linalg import spsolve
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pacgreen
 from pacgreen import (ConvergenceError, DomainError, WalkRunConfig,
                       build_geometry, build_lattice_domain, dirichlet_solve,
                       discrete_arc_measure, green_discrete, green_mc,
@@ -206,6 +209,35 @@ class TestGreenSolve:
             assert proc.returncode == 0, proc.stderr
             out.append(proc.stdout)
         assert out[0] and out[0] == out[1]
+
+    def test_package_calls_no_blas_or_lapack(self):
+        # what keeps the solve above and the square laws BLAS-free: no
+        # matrix product, dot or einsum path search, which hand their sums
+        # to BLAS, and no linalg or polynomial routine, which call LAPACK
+        banned = {"dot", "vdot", "inner", "matmul", "tensordot", "linalg",
+                  "polynomial"}
+        found = []
+        for path in sorted(pathlib.Path(pacgreen.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.BinOp | ast.AugAssign):
+                    bad = isinstance(node.op, ast.MatMult)
+                elif isinstance(node, ast.Attribute):
+                    bad = node.attr in banned
+                elif isinstance(node, ast.Name):
+                    bad = node.id in banned
+                elif isinstance(node, ast.alias):
+                    bad = banned & set(node.name.split("."))
+                elif isinstance(node, ast.ImportFrom):
+                    bad = banned & set((node.module or "").split("."))
+                elif isinstance(node, ast.Call):
+                    name = getattr(node.func, "attr", getattr(node.func, "id", ""))
+                    bad = name == "einsum" and any(k.arg == "optimize"
+                                                   for k in node.keywords)
+                else:
+                    continue
+                if bad:
+                    found.append(f"{path.name}:{node.lineno}")
+        assert found == []
 
     def test_source_must_be_interior(self, pacman16):
         with pytest.raises(DomainError):

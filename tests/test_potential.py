@@ -187,6 +187,24 @@ class TestExact:
             potential_exact((x, y)) if x or y else 0.0
             for x, y in zip(xs, ys)]
 
+    @pytest.mark.parametrize("pt", [(512, 0), (512, 300), (0, 512)])
+    def test_two_term_expansion_at_the_quadrature_reach(self, pt):
+        # a = (2/pi) log r + k0 - cos(4 phi) / (6 pi r^2) + O(r^-4); the
+        # rule resolves cos(x1 t) up to |x1| = QUADRATURE_ORDER
+        r, phi = math.hypot(*pt), math.atan2(pt[1], pt[0])
+        two_term = (2 / math.pi) * math.log(r) + K0 \
+            - math.cos(4 * phi) / (6 * math.pi * r * r)
+        assert potential_exact(pt) == pytest.approx(two_term, abs=1e-10)
+
+    @pytest.mark.parametrize("pt", [(513, 0), (0, -513), (700, 0),
+                                    (10 ** 400, 0)])
+    def test_refuses_offsets_past_the_quadrature_reach(self, pt):
+        # at |x| = 640 the rule is off by 7e-3, at 660 by 0.22
+        with pytest.raises(DomainError):
+            potential_exact(pt)
+        with pytest.raises(DomainError):
+            potential_exact_many([1, pt[0]], [0, pt[1]])
+
 
 class TestAsymptotic:
     def test_k0_value(self):
