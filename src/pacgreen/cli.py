@@ -1,21 +1,23 @@
 """Command-line front end: parsing, dispatch, CSV and SVG emission.
 
-Subcommands: potential, field, arcs, rate, expdiff.  All file outputs are
-written atomically (temp file + rename) and accompanied by a JSON manifest
-recording resolved parameters, seed, version, timestamps, and a sha256
-digest per output file.  Numeric CSV cells use 17 significant digits so
-values round-trip exactly.
+Subcommands: potential, field, arcs, rate, expdiff.  Each but potential
+returns its outputs, all computed before any file is written; ``dispatch``
+writes them atomically (temp file + rename) under the umask, then a JSON
+manifest recording parsed parameters, seed, version, timestamps, and a
+sha256 digest per output file.  A failed run leaves none of its outputs.
+Numeric CSV cells use 17 significant digits so values round-trip exactly.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
 import os
+import secrets
 import sys
-import tempfile
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from functools import cache, partial
@@ -50,16 +52,17 @@ def _csv(header, rows) -> str:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write via a temp file in the target directory, then rename."""
+    """Write via a temp file in the target directory, then rename.  The
+    temp file is created as ``open(path, "w")`` would, under the umask."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".pacgreen-")
+    tmp = os.path.join(directory, ".pacgreen-" + secrets.token_hex(8))
+    fh = open(tmp, "x", newline="\n")
     try:
-        with os.fdopen(fd, "w", newline="\n") as fh:
+        with fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
 
 
@@ -80,14 +83,33 @@ class RunManifest:
             digest = hashlib.sha256(fh.read()).hexdigest()
         self.outputs.append({"path": os.path.basename(path), "sha256": digest})
 
-    def write(self, anchor_path: str) -> None:
-        self.finished_at = _now()
-        atomic_write_text(anchor_path + ".manifest.json",
-                          json.dumps(asdict(self), indent=2) + "\n")
-
 
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
+
+
+def _write_outputs(args, outputs: dict, started_at: str) -> None:
+    """Write each output, then ``<out>.manifest.json`` listing them.  If a
+    write fails, remove the outputs this run has already written."""
+    # every parsed option but the output paths and the fields of their own
+    params = {k: v for k, v in vars(args).items()
+              if k not in ("subcommand", "out", "plot", "seed") and v is not None}
+    manifest = RunManifest(args.subcommand, params, getattr(args, "seed", None),
+                           __version__, started_at)
+    written = []
+    try:
+        for path, text in outputs.items():
+            atomic_write_text(path, text)
+            written.append(path)
+            manifest.add_output(path)
+        manifest.finished_at = _now()
+        atomic_write_text(args.out + ".manifest.json",
+                          json.dumps(asdict(manifest), indent=2) + "\n")
+    except BaseException:
+        for path in written:
+            with contextlib.suppress(OSError):
+                os.unlink(path)
+        raise
 
 
 def _parse_point(text: str):
@@ -151,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _cmd_potential(args) -> int:
+def _cmd_potential(args) -> dict:
     exact = potential_exact((args.x, args.y))
     if args.x == 0 and args.y == 0:
         asym, diff = float("nan"), float("nan")
@@ -160,111 +182,79 @@ def _cmd_potential(args) -> int:
         diff = exact - asym
     sys.stdout.write(_csv(["x", "y", "exact", "asymptotic", "difference"],
                           [(args.x, args.y, exact, asym, diff)]))
-    return 0
+    return {}
 
 
-def _cmd_field(args) -> int:
+def _cmd_field(args) -> dict:
     g = build_geometry(args.alpha, args.n)
     if not contains(g, args.source):
         raise DomainError(f"source {args.source} is not interior")
-    manifest = RunManifest("field", {"alpha": args.alpha, "n": args.n,
-                                     "source": list(args.source),
-                                     "with_continuous": args.with_continuous},
-                           None, __version__, _now())
     d = build_lattice_domain(g)
     G = green_solve(d, args.source)
-    rows = []
+    gv = np.full(d.interior_count, np.nan)
     if args.with_continuous:
-        gv = np.full(d.interior_count, np.nan)
         ok = np.any(d.interior != args.source, axis=1)
         gv[ok] = green_pacman_many(g, args.source, d.interior[ok])
-        for (x, y), Gv, gval in zip(d.interior, G.values, gv):
+    rows = []
+    for (x, y), Gv, gval in zip(d.interior, G.values, gv):
+        cells = ("", "")
+        if args.with_continuous:
             diff = abs(Gv - (2 / math.pi) * gval) if np.isfinite(gval) else float("nan")
-            rows.append((int(x), int(y), float(Gv), float(gval), diff))
-    else:
-        for (x, y), Gv in zip(d.interior, G.values):
-            rows.append((int(x), int(y), float(Gv), "", ""))
-    atomic_write_text(args.out, _csv(["x", "y", "G", "g", "diff"], rows))
-    manifest.add_output(args.out)
-    manifest.write(args.out)
-    return 0
+            cells = (float(gval), diff)
+        rows.append((int(x), int(y), float(Gv), *cells))
+    return {args.out: _csv(["x", "y", "G", "g", "diff"], rows)}
 
 
-def _cmd_arcs(args) -> int:
+def _cmd_arcs(args) -> dict:
+    walk = args.mode == "walk"
+    if walk and (args.trials is None or args.seed is None):
+        raise DomainError("--trials and --seed are required with --mode walk")
+    if not walk and (args.trials is not None or args.seed is not None):
+        raise DomainError("--trials and --seed do not apply to --mode bm")
     g = build_geometry(args.alpha, args.n)
     if not contains(g, args.start):
         raise DomainError(f"start {args.start} is not interior")
-    params = {"alpha": args.alpha, "n": args.n, "start": list(args.start),
-              "mode": args.mode}
-    if args.mode == "walk":
-        if args.trials is None or args.seed is None:
-            raise DomainError("--trials and --seed are required with --mode walk")
-        params.update(trials=args.trials, seed=args.seed)
-        manifest = RunManifest("arcs", params, args.seed, __version__, _now())
-        d = build_lattice_domain(g)
-        m = walk_arc_measure(d, args.start, WalkRunConfig(args.trials, args.seed))
-        rows = [(k + 1, float(p), float(se))
-                for k, (p, se) in enumerate(zip(m.probabilities, m.stderr))]
-        text = _csv(["k", "p", "stderr"], rows)
-    else:
-        manifest = RunManifest("arcs", params, None, __version__, _now())
+    if not walk:
         m = bm_arc_measure(g, args.start)
         rows = [(k + 1, float(p)) for k, p in enumerate(m.probabilities)]
-        text = _csv(["k", "measure"], rows)
-    atomic_write_text(args.out, text)
-    manifest.add_output(args.out)
-    manifest.write(args.out)
-    return 0
+        return {args.out: _csv(["k", "measure"], rows)}
+    cfg = WalkRunConfig(args.trials, args.seed)
+    m = walk_arc_measure(build_lattice_domain(g), args.start, cfg)
+    rows = [(k + 1, float(p), float(se))
+            for k, (p, se) in enumerate(zip(m.probabilities, m.stderr))]
+    return {args.out: _csv(["k", "p", "stderr"], rows)}
 
 
-def _cmd_rate(args) -> int:
+def _cmd_rate(args) -> dict:
     if len(args.ns) < 3:
         raise DomainError("--ns needs at least 3 scales for the fit")
-    cfg = ExperimentConfig(alphas=args.alphas, ns=args.ns)
-    manifest = RunManifest("rate", {"alphas": list(args.alphas),
-                                    "ns": list(args.ns)},
-                           None, __version__, _now())
-    results = rate_sweep(cfg)
-    rows = []
-    for res in results:
-        for pt in res.points:
-            rows.append((res.alpha, pt.n, pt.sup_error, pt.mean_error,
-                         pt.region_min_radius))
-    atomic_write_text(args.out, _csv(
-        ["alpha", "n", "sup_error", "mean_error", "region_min_radius"], rows))
-    manifest.add_output(args.out)
-    stem, ext = os.path.splitext(args.out)
-    summary_path = stem + "_summary" + (ext or ".csv")
+    results = rate_sweep(ExperimentConfig(alphas=args.alphas, ns=args.ns))
+    rows = [(res.alpha, pt.n, pt.sup_error, pt.mean_error, pt.region_min_radius)
+            for res in results for pt in res.points]
     srows = [(r.alpha, r.slope, r.intercept, r.r_squared, r.c_alpha)
              for r in results]
-    atomic_write_text(summary_path, _csv(
-        ["alpha", "slope", "intercept", "r2", "c_alpha"], srows))
-    manifest.add_output(summary_path)
+    stem, ext = os.path.splitext(args.out)
+    outputs = {
+        args.out: _csv(["alpha", "n", "sup_error", "mean_error",
+                        "region_min_radius"], rows),
+        stem + "_summary" + (ext or ".csv"): _csv(
+            ["alpha", "slope", "intercept", "r2", "c_alpha"], srows)}
     if args.plot:
-        series = [(res.alpha, res.c_alpha,
-                   [(1.0 / p.n, p.corrected_sup_error) for p in res.points])
-                  for res in results]
-        atomic_write_text(args.plot, render_rate_plot(series))
-        manifest.add_output(args.plot)
-    manifest.write(args.out)
-    return 0
+        outputs[args.plot] = render_rate_plot(
+            [(res.alpha, res.c_alpha,
+              [(1.0 / p.n, p.corrected_sup_error) for p in res.points])
+             for res in results])
+    return outputs
 
 
-def _cmd_expdiff(args) -> int:
+def _cmd_expdiff(args) -> dict:
     g = build_geometry(args.alpha, args.n)
-    manifest = RunManifest("expdiff", {"alpha": args.alpha, "n": args.n,
-                                       "x": list(args.x), "y": list(args.y),
-                                       "trials": args.trials},
-                           args.seed, __version__, _now())
     est, se = expdiff_estimate(g, args.x, args.y,
                                WalkRunConfig(args.trials, args.seed))
     _, k0 = nearest_boundary(g, args.x)
     scale = prop_bound_scale(g, k0)
-    atomic_write_text(args.out, _csv(["estimate", "stderr", "bound_scale"],
-                                     [(est, se, scale)]))
-    manifest.add_output(args.out)
-    manifest.write(args.out)
-    return 0
+    return {args.out: _csv(["estimate", "stderr", "bound_scale"],
+                           [(est, se, scale)])}
 
 
 # ---------------------------------------------------------------------------
@@ -340,13 +330,17 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def dispatch(argv) -> int:
-    """Parse argv, validate, run; 0 on success, 2 on usage, 1 on runtime."""
+    """Parse argv, run, write; 0 on success, 2 on usage, 1 on runtime."""
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
-        return _COMMANDS[args.subcommand](args)
+        started_at = _now()
+        outputs = _COMMANDS[args.subcommand](args)
+        if outputs:
+            _write_outputs(args, outputs, started_at)
+        return 0
     except DomainError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return USAGE_ERROR

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 from decimal import Decimal
@@ -147,11 +148,22 @@ def _inside_disk(g: PacmanGeometry, wx, wy):
     return (r2 > 0) & (r2 < (2 * g.n) ** 2)
 
 
+def point_xy(z) -> tuple:
+    """The coordinates of a point given as a complex number or as a 1-D
+    (x, y) pair (tuple, list or array row), entries as given.  DomainError
+    for any other shape, so no entry past the second is dropped."""
+    if isinstance(z, numbers.Complex):
+        return z.real, z.imag
+    if np.ndim(z) == 1 and len(z) == 2:
+        return z[0], z[1]
+    raise DomainError(f"a point is a complex number or an (x, y) pair, got {z!r}")
+
+
 def _as_complex(z) -> complex:
-    """A point given as an (x, y) pair (tuple, list or array row), or as a
-    complex number.  DomainError for coordinates beyond float range."""
+    """``point_xy`` as a complex number.  DomainError for coordinates
+    beyond float range."""
     try:
-        return complex(z[0], z[1]) if np.ndim(z) == 1 else complex(z)
+        return complex(*point_xy(z))
     except OverflowError:
         raise DomainError(f"point {z} is beyond float range") from None
 
@@ -354,18 +366,23 @@ def require_scale(n) -> int:
     return int(n)
 
 
-def require_memory(n: int) -> None:
-    """DomainError when the (4n + 3)^2 grid of scale n, at _BYTES_PER_CELL
-    per cell, would exceed the machine's physical memory.  The need is
-    reported in Decimal, which no n overflows."""
-    need = _BYTES_PER_CELL * (4 * n + 3) ** 2
+def require_bytes(need: int, what: str) -> None:
+    """DomainError when ``need`` bytes for ``what`` would exceed the
+    machine's physical memory.  The need is reported in Decimal, which no
+    int overflows."""
     if hasattr(os, "sysconf"):
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         if need > have:
             gib = Decimal(need) / 2**30
-            raise DomainError(f"n = {n} needs about {gib:.3g} GiB "
-                              "for its lattice and a solve, over the "
+            raise DomainError(f"{what} needs about {gib:.3g} GiB, over the "
                               f"{have / 2**30:.3g} GiB of physical memory")
+
+
+def require_memory(n: int) -> None:
+    """DomainError when the (4n + 3)^2 grid of scale n, at _BYTES_PER_CELL
+    per cell, would exceed the machine's physical memory."""
+    require_bytes(_BYTES_PER_CELL * (4 * n + 3) ** 2,
+                  f"a lattice and a solve at n = {n}")
 
 
 def build_lattice_domain(g: PacmanGeometry) -> LatticeDomain:

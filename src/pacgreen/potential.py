@@ -39,6 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .domain import point_xy
 from .errors import DomainError
 
 EULER_GAMMA = 0.5772156649015328606
@@ -168,7 +169,7 @@ def potential_exact_many(xs, ys) -> np.ndarray:
 def potential_exact(x) -> float:
     """a(x) by quadrature; a(0) = 0 exactly.  DomainError beyond
     QUADRATURE_ORDER in either coordinate."""
-    x1, x2 = int(x[0]), int(x[1])
+    x1, x2 = (int(v) for v in point_xy(x))
     if x1 == 0 and x2 == 0:
         return 0.0
     return float(potential_exact_many([x1], [x2])[0])
@@ -176,7 +177,7 @@ def potential_exact(x) -> float:
 
 def potential_asymptotic(x) -> float:
     """(2/pi) log|x| + k0; singular at the origin."""
-    r = math.hypot(x[0], x[1])
+    r = math.hypot(*point_xy(x))
     if r == 0.0:
         raise DomainError("asymptotic form is singular at x = 0")
     return (2.0 / math.pi) * math.log(r) + K0

@@ -33,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .domain import LatticeDomain, arc_index_of_radius
+from .domain import LatticeDomain, arc_index_of_radius, require_bytes
 from .errors import DomainError, StepBudgetError
 
 _MASK64 = (1 << 64) - 1
@@ -47,10 +47,17 @@ _CHUNK_MAX = 32768
 # up to rounding.
 ARC_TOLERANCE = 1e-6
 
+# Bytes of walk state per trial: a run holds every live trial's state at
+# once, unchunked.  The tracemalloc peak of a run at alpha = pi, n = 64 is
+# 177 a trial (10.6 MB at 60 000 trials; CHANGES.md, "Lockstep engine:
+# fixed cost per round cut").
+_BYTES_PER_TRIAL = 177
+
 
 @dataclass(frozen=True)
 class WalkRunConfig:
-    """Trial count and stream seed."""
+    """Trial count and stream seed.  DomainError, before anything is
+    allocated, for a count whose walk state would not fit in memory."""
 
     trials: int
     seed: int
@@ -58,6 +65,8 @@ class WalkRunConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise DomainError("trials must be positive")
+        require_bytes(_BYTES_PER_TRIAL * int(self.trials),
+                      f"a walk of {self.trials} trials")
 
 
 @dataclass

@@ -68,6 +68,37 @@ class TestArcsCommand:
         total = sum(float(r.split(",")[1]) for r in rows[1:])
         assert total == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("flags", [["--trials", "10"], ["--seed", "3"],
+                                       ["--trials", "10", "--seed", "3"]],
+                             ids=["trials", "seed", "both"])
+    def test_bm_refuses_walk_flags(self, tmp_path, capsys, flags):
+        out = tmp_path / "bm.csv"
+        rc = dispatch(["arcs", "--mode", "bm", "--alpha", "0", "--n", "16",
+                       "--start", "0,0", *flags, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "usage error: --trials and --seed do not apply to --mode bm\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["arcs", "--mode", "walk", "--alpha", "0", "--n", "16",
+         "--start", "0,0"],
+        ["expdiff", "--alpha", "3.141592653589793", "--n", "64",
+         "--x", "26,-60", "--y", "26,-60"]], ids=["arcs", "expdiff"])
+    def test_trials_over_physical_memory(self, tmp_path, capsys, argv):
+        out = tmp_path / "w.csv"
+        tracemalloc.start()
+        try:
+            rc = dispatch(argv + ["--trials", str(10 ** 12), "--seed", "1",
+                                  "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        assert "physical memory" in capsys.readouterr().err
+        assert peak < 2 ** 20
+        assert list(tmp_path.iterdir()) == []
+
     def test_noninterior_start(self, tmp_path):
         rc = dispatch(["arcs", "--mode", "bm", "--alpha", "0", "--n", "16",
                        "--start", "9999,0", "--out", str(tmp_path / "x.csv")])
@@ -271,6 +302,65 @@ class TestExitCodes:
                          "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: field values must be finite\n"
         assert not out.exists()
+
+
+class TestWriter:
+    def test_failed_write_leaves_no_outputs(self, tmp_path, capsys):
+        # the plot's directory is missing: the CSVs written before it go too
+        rc = dispatch(["rate", "--alphas", "3.141592653589793",
+                       "--ns", "8,9,10", "--out", str(tmp_path / "r.csv"),
+                       "--plot", str(tmp_path / "missing" / "p.svg")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_manifest_leaves_no_outputs(self, tmp_path):
+        # the manifest is written last; a directory in its place fails it
+        (tmp_path / "bm.csv.manifest.json").mkdir()
+        rc = dispatch(["arcs", "--mode", "bm", "--alpha", "0", "--n", "16",
+                       "--start", "0,0", "--out", str(tmp_path / "bm.csv")])
+        assert rc == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["bm.csv.manifest.json"]
+
+    # one rule for every subcommand: the parsed options but the output
+    # paths and the seed, unset ones dropped; the seed has its own field
+    @pytest.mark.parametrize("argv, parameters, seed", [
+        (["field", "--alpha", "0", "--n", "8"],
+         {"alpha": 0.0, "n": 8, "source": [0, 0], "with_continuous": False},
+         None),
+        (["arcs", "--mode", "bm", "--alpha", "0", "--n", "16", "--start", "1,0"],
+         {"alpha": 0.0, "n": 16, "start": [1, 0], "mode": "bm"}, None),
+        (["arcs", "--mode", "walk", "--alpha", "0", "--n", "16",
+          "--start", "0,0", "--trials", "20", "--seed", "3"],
+         {"alpha": 0.0, "n": 16, "start": [0, 0], "mode": "walk",
+          "trials": 20}, 3),
+        (["rate", "--alphas", "3.141592653589793", "--ns", "8,9,10"],
+         {"alphas": [math.pi], "ns": [8, 9, 10]}, None),
+        (["expdiff", "--alpha", "3.141592653589793", "--n", "64",
+          "--x", "26,-60", "--y", "26,-60", "--trials", "20", "--seed", "4"],
+         {"alpha": math.pi, "n": 64, "x": [26, -60], "y": [26, -60],
+          "trials": 20}, 4),
+    ], ids=["field", "arcs-bm", "arcs-walk", "rate", "expdiff"])
+    def test_manifest_parameters(self, tmp_path, argv, parameters, seed):
+        out = tmp_path / "o.csv"
+        assert dispatch(argv + ["--out", str(out)]) == 0
+        man = json.loads((tmp_path / "o.csv.manifest.json").read_text())
+        assert man["subcommand"] == argv[0]
+        assert man["parameters"] == parameters
+        assert man["seed"] == seed
+        assert man["started_at"] <= man["finished_at"]
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_outputs_follow_the_umask(self, tmp_path, umask, mode):
+        old = os.umask(umask)
+        try:
+            rc = dispatch(["arcs", "--mode", "bm", "--alpha", "0", "--n", "16",
+                           "--start", "0,0", "--out", str(tmp_path / "bm.csv")])
+        finally:
+            os.umask(old)
+        assert rc == 0
+        for name in ("bm.csv", "bm.csv.manifest.json"):
+            assert (tmp_path / name).stat().st_mode & 0o777 == mode
 
 
 class TestAtomicWrites:

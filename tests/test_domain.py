@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 
 from pacgreen import (DomainError, arc_index, bm_arc_measure, build_geometry,
                       build_lattice_domain, c_alpha, contains, green_pacman,
-                      green_solve, lattice_domain_from_sites, nearest_boundary)
+                      green_solve, lattice_domain_from_sites, nearest_boundary,
+                      potential_asymptotic, potential_exact)
 from pacgreen.domain import (_BYTES_PER_CELL, _keep_freed_memory, arc_edges,
-                             arc_index_of_radius, require_memory,
+                             arc_index_of_radius, point_xy, require_memory,
                              require_scale, sector_mask)
 from pacgreen.walk_mc import _jump_tables
 
@@ -132,6 +133,33 @@ class TestPointCoercion:
         d = build_lattice_domain(g)
         row = d.interior[5]
         assert call(g, d, row) == call(g, d, (int(row[0]), int(row[1])))
+
+    # a point is a complex number or a 1-D pair: no entry is dropped and
+    # no shape reaches an IndexError or a TypeError
+    @pytest.mark.parametrize("z", [(0, 0, 99), (0, 0, 7), (3, 4, 5), (1,), (),
+                                   np.zeros((2, 2)), "0,0", None],
+                             ids=["(0,0,99)", "(0,0,7)", "(3,4,5)", "(1,)", "()",
+                                  "2x2", "str", "None"])
+    @pytest.mark.parametrize("call", [
+        lambda g, d, z: contains(g, z),
+        lambda g, d, z: nearest_boundary(g, z),
+        lambda g, d, z: d.require_interior(z),
+        lambda g, d, z: potential_exact(z),
+        lambda g, d, z: potential_asymptotic(z),
+    ], ids=["contains", "nearest_boundary", "require_interior",
+            "potential_exact", "potential_asymptotic"])
+    def test_other_shapes_refused(self, call, z):
+        g = build_geometry(PI, 16)
+        d = build_lattice_domain(g)
+        with pytest.raises(DomainError, match="complex number or an"):
+            call(g, d, z)
+
+    def test_complex_scalar_and_pair_agree(self):
+        g = build_geometry(PI, 16)
+        for z in ((3, 4), [3, 4], np.array([3, 4]), 3 + 4j, np.complex128(3 + 4j)):
+            assert point_xy(z) == (3, 4)
+            assert contains(g, z)
+        assert potential_exact(3 + 4j) == potential_exact((3, 4))
 
 
 class TestLatticeDomain:

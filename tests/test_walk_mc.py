@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from bisect import bisect_right
 
 import numpy as np
@@ -374,6 +375,18 @@ class TestConfig:
     def test_trials_positive(self):
         with pytest.raises(DomainError):
             WalkRunConfig(trials=0, seed=1)
+
+    def test_trials_over_physical_memory(self):
+        # 10^12 trials at about 177 bytes each need about 161 TiB; the
+        # config must refuse before any walk state is allocated
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="physical memory"):
+                WalkRunConfig(trials=10 ** 12, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
 
 class TestArcMeasureType:
