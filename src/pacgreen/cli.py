@@ -53,17 +53,21 @@ def _csv(header, rows) -> str:
 
 def atomic_write_text(path: str, text: str) -> None:
     """Write via a temp file in the target directory, then rename.  The
-    temp file is created as ``open(path, "w")`` would, under the umask."""
+    temp file is created as ``open(path, "w")`` would, under the umask.
+    An OSError names ``path``, not the temp file."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     tmp = os.path.join(directory, ".pacgreen-" + secrets.token_hex(8))
-    fh = open(tmp, "x", newline="\n")
     try:
-        with fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fh = open(tmp, "x", newline="\n")
+        try:
+            with fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
 
 
 @dataclass

@@ -159,6 +159,37 @@ def point_xy(z) -> tuple:
     raise DomainError(f"a point is a complex number or an (x, y) pair, got {z!r}")
 
 
+def lattice_site(z) -> tuple[int, int]:
+    """The lattice site a point names, as two ints: ``point_xy``'s shape
+    rule, integer coordinates, (3.0, 4) read as (3, 4); else DomainError."""
+    x, y = point_xy(z)
+    try:
+        site = int(x), int(y)
+        if site == (x, y):
+            return site
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DomainError(f"{z!r} is not a lattice site")
+
+
+def lattice_coordinates(v) -> np.ndarray:
+    """The array form of ``lattice_site``: an array of coordinates as
+    int64, integer arrays as they are, integer-valued floats as integers.
+    DomainError for any other entry, or one beyond int64."""
+    a = np.asarray(v)
+    if a.dtype.kind in "bi":
+        return a.astype(np.int64, copy=False)
+    if a.dtype.kind in "fuO":
+        try:
+            with np.errstate(invalid="ignore"):   # nan, inf, past int64
+                out = a.astype(np.int64)
+            if np.all(out == a):
+                return out
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise DomainError("lattice coordinates must be integers within int64")
+
+
 def _as_complex(z) -> complex:
     """``point_xy`` as a complex number.  DomainError for coordinates
     beyond float range."""
@@ -194,6 +225,36 @@ def arc_index_of_radius(g: PacmanGeometry, r):
     """Vectorized arc bucket from tip-distance r."""
     k = np.floor(np.asarray(r, dtype=np.float64) / g.bucket_width) + 1
     return np.minimum(k, g.N).astype(np.int64)
+
+
+# How far an arc law may stray from [0, 1] and from total mass 1.  The
+# discrete law comes from a solve stopped at max-norm residual 1e-10: its
+# row sums to 1 plus the sum of the residuals, measured within 4.4e-9 for
+# n <= 256, with every entry positive.  The walk and Brownian laws sum to 1
+# up to rounding.
+ARC_TOLERANCE = 1e-6
+
+
+@dataclass
+class ArcMeasure:
+    """Probability per boundary arc k in 1..N, with optional MC metadata."""
+
+    probabilities: np.ndarray
+    trials: int | None = None
+    counts: np.ndarray | None = None
+    stderr: np.ndarray | None = None
+
+    def __post_init__(self):
+        p = np.asarray(self.probabilities, dtype=np.float64)
+        if np.any(p < -ARC_TOLERANCE) or np.any(p > 1.0 + ARC_TOLERANCE):
+            raise DomainError("arc probabilities must lie in [0, 1]")
+        if abs(p.sum() - 1.0) > ARC_TOLERANCE:
+            raise DomainError("arc probabilities must sum to 1")
+        self.probabilities = p
+
+    @property
+    def total(self) -> float:
+        return float(self.probabilities.sum())
 
 
 def nearest_boundary(g: PacmanGeometry, z) -> tuple[float, int]:
@@ -270,17 +331,15 @@ class LatticeDomain:
         return np.stack([x - ox, y - oy], axis=-1)
 
     def _cell(self, z) -> int:
-        c = _as_complex(z)
-        if not (c.real.is_integer() and c.imag.is_integer()):
-            return -1
+        x, y = lattice_site(z)
         ox, oy = self._origin
-        x, y = int(c.real) + ox, int(c.imag) + oy
+        x, y = x + ox, y + oy
         if not (0 <= x < self.stride and 0 <= y < self.stride):
             return -1
         return int(self.grid[y * self.stride + x])
 
     def interior_index(self, z) -> int:
-        """Dense index of an interior site, or -1."""
+        """Dense index of an interior site, or -1 for another lattice site."""
         i = self._cell(z)
         return i if i < self.interior_count else -1
 
@@ -298,7 +357,7 @@ class LatticeDomain:
         return self.interior[self.require_interior(z)]
 
     def boundary_index(self, z) -> int:
-        """Dense index of a boundary site, or -1."""
+        """Dense index of a boundary site, or -1 for another lattice site."""
         i = self._cell(z)
         return i - self.interior_count if i >= self.interior_count else -1
 
@@ -342,7 +401,7 @@ def lattice_domain_from_sites(g: PacmanGeometry, interior_sites) -> LatticeDomai
     discretization.  Intended for small hand-checkable domains; the
     geometry supplies the coordinate frame and arc metadata.
     """
-    w = np.array([(int(p[0]), int(p[1])) for p in interior_sites],
+    w = np.array([lattice_site(p) for p in interior_sites],
                  dtype=np.int64).reshape(-1, 2)
     if not w.size:
         raise DomainError("need at least one interior site")

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import (PacmanGeometry, _as_complex, arc_edges, build_geometry,
-                     build_lattice_domain, c_alpha, contains, nearest_boundary,
-                     require_memory, require_scale)
+                     build_lattice_domain, c_alpha, contains, lattice_site,
+                     nearest_boundary, require_memory, require_scale)
 from .errors import DomainError, FitError
 from .green_continuous import bm_arc_measure, green_pacman_many
 from .green_discrete import _dot, green_solve
@@ -123,12 +123,13 @@ def _rate_point(alpha: float, n: int) -> RatePoint:
     # only sites with |x|, |y| <= ceil(rmin) can fall within rmin of the
     # origin: decide those by hypot and keep every other site
     r = math.ceil(rmin)
-    box = np.arange(-r, r + 1)
-    near = d.grid[d.flat(np.stack(np.meshgrid(box, box), axis=-1))].ravel()
-    near = near[(near >= 0) & (near < d.interior_count)]
-    x, y = d.interior[near].T
     keep = np.ones(d.interior_count, dtype=bool)
-    keep[near[np.hypot(x, y) < rmin]] = False
+    for x in range(-r, r + 1):
+        for y in range(-r, r + 1):
+            if np.hypot(x, y) < rmin:
+                i = d.interior_index((x, y))
+                if i >= 0:
+                    keep[i] = False
     # the errors in blocks of sites, so the peak is the solve's; err stays
     # whole, so its mean is rounded as one numpy reduction
     err = np.empty(np.count_nonzero(keep))
@@ -179,17 +180,17 @@ def expdiff_estimate(g: PacmanGeometry, x, y,
                      walk_cfg: WalkRunConfig) -> tuple[float, float]:
     """Mean absolute log-ratio of walk and Brownian exit radii.
 
-    The walk side is simulated from x; the Brownian side draws an arc from
-    the exact exit law at y and places the radius uniformly inside the
-    arc's radial bucket, then converts tip-radius to distance from the
-    origin along a wedge ray (the two rays agree up to the lattice rounding
-    of z0).  Both starts must sit within 10 log n of the boundary and of
-    each other.
+    The walk side is simulated from the lattice site x; the Brownian side
+    draws an arc from the exact exit law at y and places the radius
+    uniformly inside the arc's radial bucket, then converts tip-radius to
+    distance from the origin along a wedge ray (the two rays agree up to
+    the lattice rounding of z0).  Both starts must sit within 10 log n of
+    the boundary and of each other.
 
     Returns (estimate, standard error).
     """
-    yc = _as_complex(y)
-    xc = _as_complex(x)
+    site = lattice_site(x)
+    xc, yc = _as_complex(site), _as_complex(y)
     limit = 10.0 * math.log(g.n)
     dist, _ = nearest_boundary(g, xc)
     if dist > limit:
@@ -200,7 +201,7 @@ def expdiff_estimate(g: PacmanGeometry, x, y,
         raise DomainError("x and y must be interior")
 
     d = build_lattice_domain(g)
-    exits = sample_exits(d, (int(xc.real), int(xc.imag)), walk_cfg)
+    exits = sample_exits(d, site, walk_cfg)
     s_radii = np.hypot(exits[:, 0], exits[:, 1])
 
     probs = bm_arc_measure(g, yc).probabilities

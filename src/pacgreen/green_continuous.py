@@ -20,9 +20,9 @@ import math
 
 import numpy as np
 
-from .domain import TIP_GUARD, PacmanGeometry, _as_complex, arc_edges, contains
+from .domain import (TIP_GUARD, ArcMeasure, PacmanGeometry, _as_complex,
+                     arc_edges, contains)
 from .errors import DomainError, SingularityError
-from .walk_mc import ArcMeasure
 
 
 def _power_map(g: PacmanGeometry, wx, wy):
@@ -142,15 +142,20 @@ def green_pacman_many(g: PacmanGeometry, z, w: np.ndarray) -> np.ndarray:
     return _halfplane_green(p.real, p.imag, qx, qy)
 
 
+def _cauchy_cdf(p: complex, t):
+    """The CDF less 1/2 at real points t of the exit law from p in the
+    upper half-plane, a Cauchy law: arctan((t - Re p) / Im p) / pi."""
+    with np.errstate(invalid="ignore"):
+        return np.arctan((t - p.real) / p.imag) / math.pi
+
+
 def cauchy_interval_measure(p, lo: float, hi: float) -> float:
     """Harmonic measure of the real interval [lo, hi] seen from p in the
-    upper half-plane: the Cauchy CDF difference
-    (1/pi)[arctan((hi - Re p)/Im p) - arctan((lo - Re p)/Im p)]."""
+    upper half-plane: the Cauchy CDF difference."""
     p = complex(p)
     if p.imag <= 0:
         raise DomainError("p must lie in the open upper half-plane")
-    return (math.atan2(hi - p.real, p.imag)
-            - math.atan2(lo - p.real, p.imag)) / math.pi
+    return float(_cauchy_cdf(p, hi) - _cauchy_cdf(p, lo))
 
 
 def _ray_images(g: PacmanGeometry, radii: np.ndarray):
@@ -177,14 +182,8 @@ def bm_arc_measure(g: PacmanGeometry, x) -> ArcMeasure:
     if not contains(g, xc):
         raise DomainError("x must be strictly interior")
     p = _to_halfplane(g, xc)
-    px, py = p.real, p.imag
-
-    def cdf(t):
-        with np.errstate(invalid="ignore"):
-            return np.arctan((t - px) / py) / math.pi
-
     v0, v1 = _ray_images(g, arc_edges(g))
-    c0, c1 = cdf(v0), cdf(v1)
+    c0, c1 = _cauchy_cdf(p, v0), _cauchy_cdf(p, v1)
     measures = (c0[1:] - c0[:-1]) + (c1[:-1] - c1[1:])
-    measures[-1] += cdf(2.0) - cdf(-2.0)
+    measures[-1] += _cauchy_cdf(p, 2.0) - _cauchy_cdf(p, -2.0)
     return ArcMeasure(probabilities=np.maximum(measures, 0.0))

@@ -24,10 +24,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .domain import LatticeDomain
+from .domain import ArcMeasure, LatticeDomain
 from .errors import ConvergenceError, DomainError, InvariantError
 from .potential import potential_many
-from .walk_mc import ArcMeasure
 
 # Stopping rule of every Dirichlet solve: max-norm true residual.
 RESIDUAL_TOLERANCE = 1e-10
@@ -113,7 +112,7 @@ class _Grid:
     A grid solves (D - P) u = f.  ``diagonal`` gives D as (y, x, D) on
     the sites where it is not 1 (see _diagonal); without it D = 1.  The
     grid keeps no D, only ``weight``, 1 / (4 D) on the sites and zero
-    elsewhere.
+    elsewhere, which is where _Level reads the coarse grid's D.
     """
 
     def __init__(self, mask, diagonal=None):
@@ -137,8 +136,7 @@ class _Grid:
         self.f = np.zeros(self.size, np.float32)
         self.weight = np.zeros(self.size, np.float32)
         self.weight[self.sites] = 0.25
-        self.scaled = diagonal is not None
-        if self.scaled:
+        if diagonal is not None:
             y, x, D = diagonal
             self.weight[self.cells(y, x)] = 0.25 / D
 
@@ -172,14 +170,6 @@ def _stencil(out, views, weight, tmp, f=None):
         np.add(tmp, f, out=out)
 
 
-def _quarter(weight):
-    """A quarter where a grid's weight, at most a quarter, is positive, and
-    zero elsewhere."""
-    q = np.ceil(weight)
-    q *= 0.25
-    return q
-
-
 class _Level:
     """Smoothing on a grid of even shape, and the transfers to and from
     the grid of every other site of it.
@@ -203,12 +193,11 @@ class _Level:
     cells, and ``at_centres`` the residual on those of plane 3.  The
     coarse right-hand side is split into the coarse grid's planes, and
     its correction merged back, by strided copies.  The residual on the
-    coarse sites and P^T weigh by the coarse grid's weight, from its
-    ``diagonal`` as _Grid takes it, so the split copies the coarse grid's
-    f / D.
+    coarse sites and P^T weigh by the coarse grid's weight, read at its
+    sites, so the split copies the coarse grid's f / D.
     """
 
-    def __init__(self, grid: _Grid, coarse: _Grid, diagonal=None):
+    def __init__(self, grid: _Grid, coarse: _Grid):
         C, S = grid.row, grid.span
         self.tmp = np.empty(S, np.float32)
         at_sites = np.zeros(grid.plane + 1, np.float32)
@@ -229,16 +218,16 @@ class _Level:
                       for dst, p in zip(coarse.blocks(coarse.f), parts)]
         self.merge = [(p, src[:p.shape[0], :p.shape[1]])
                       for src, p in zip(coarse.blocks(coarse.u), parts)]
-        # the residual and P weigh the centres by a quarter; the residual
-        # on the coarse sites and P^T by the coarse grid's weight, laid out
-        # as coarse_site: a quarter on plane 0's sites, which are the
-        # coarse sites, over D at coarse site (i, j), cell i C + j + 1
-        site, centre = (grid.views(grid.weight, k)[0] for k in (0, 3))
-        self.site_weight = _quarter(site)
-        if diagonal is not None:
-            y, x, D = diagonal
-            self.site_weight[y * C + x + 1] = 0.25 / D
-        self.centre_weight = _quarter(centre) if grid.scaled else centre
+        # as own slices: the residual and P weigh the centres by a quarter,
+        # the residual on the coarse sites and P^T by the coarse grid's
+        # weight, coarse site (y, x) sitting at cell (2y, 2x) of plane 0
+        self.site_weight, self.centre_weight = np.zeros((2, S), np.float32)
+        y, x = np.nonzero(coarse.mask)
+        self.site_weight[grid.cells(2 * y, 2 * x) - grid.starts[0][0]] = (
+            coarse.weight[coarse.sites])
+        y, x = np.nonzero(grid.mask[1::2, 1::2])
+        self.centre_weight[grid.cells(2 * y + 1, 2 * x + 1)
+                           - grid.starts[3][0]] = 0.25
 
         def colour(k, neighbours):
             # (u, f, weight, neighbour slices) of plane k
@@ -401,19 +390,17 @@ class _VCycle:
                          -(-(xb - x0) // top) * top), dtype=bool)
         mask[ya - y0:yb - y0, xa - x0:xb - x0] = inside[ya + c:yb + c,
                                                         xa + c:xb + c]
-        grids, diagonals = [_Grid(mask)], []
+        grids, diagonal = [_Grid(mask)], ([], [], [])
         for k, t in enumerate(_boundary_distances(mask, depth), 1):
-            diagonals.append(_diagonal(t, k))
-            grids.append(_Grid(t[0] > 0, diagonals[-1] if k < depth else None))
+            diagonal = _diagonal(t, k)
+            grids.append(_Grid(t[0] > 0, diagonal if k < depth else None))
         # the coarsest grid takes its right-hand side unscaled, and its
         # dense inverse carries D
         c = grids[-1].mask
         D = np.ones(c.shape)
-        if diagonals:
-            iy, ix, near = diagonals.pop()
-            D[iy, ix] = near
-        self.levels = [_Level(*args) for args
-                       in zip(grids, grids[1:], diagonals + [None])]
+        iy, ix, near = diagonal
+        D[iy, ix] = near
+        self.levels = [_Level(*pair) for pair in zip(grids, grids[1:])]
         # only the finest and the coarsest grids read their sites again
         for grid in grids[1:-1]:
             del grid.sites
@@ -592,7 +579,7 @@ def discrete_arc_measure(d: LatticeDomain, x) -> ArcMeasure:
     evaluated at x is G(., x) . (B h): one Green's solve gives the weight
     (B^T G(., x))_b of every boundary site b, and summing over each arc
     gives the row.  It is nonnegative and sums to 1 up to solver tolerance
-    (``walk_mc.ARC_TOLERANCE``).
+    (``domain.ARC_TOLERANCE``).
     """
     p = np.bincount(d.boundary_arc - 1, weights=_exit_weights(d, x),
                     minlength=d.geometry.N)

@@ -39,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .domain import point_xy
+from .domain import lattice_coordinates, lattice_site, point_xy
 from .errors import DomainError
 
 EULER_GAMMA = 0.5772156649015328606
@@ -148,10 +148,12 @@ def _integrate(f, out):
 def potential_exact_many(xs, ys) -> np.ndarray:
     """Vectorized exact kernel over 1-D integer offset arrays xs, ys.
 
-    DomainError for an offset beyond QUADRATURE_ORDER in absolute value:
-    past it the rule stops resolving cos(x1 t), and at |x| = 640 it is off
-    by 7e-3.  Offsets are compared before any float conversion."""
-    xs, ys = np.asarray(xs), np.asarray(ys)
+    DomainError for an offset that is not an integer
+    (``lattice_coordinates``) or lies beyond QUADRATURE_ORDER in absolute
+    value: past it the rule stops resolving cos(x1 t), and at |x| = 640
+    it is off by 7e-3.  Offsets are compared as integers, before any float
+    conversion."""
+    xs, ys = lattice_coordinates(xs), lattice_coordinates(ys)
     for v in (xs, ys):
         if v.size and not -QUADRATURE_ORDER <= v.min() <= v.max() <= QUADRATURE_ORDER:
             raise DomainError(f"the exact kernel takes offsets within "
@@ -167,9 +169,9 @@ def potential_exact_many(xs, ys) -> np.ndarray:
 
 
 def potential_exact(x) -> float:
-    """a(x) by quadrature; a(0) = 0 exactly.  DomainError beyond
-    QUADRATURE_ORDER in either coordinate."""
-    x1, x2 = (int(v) for v in point_xy(x))
+    """a(x) by quadrature at a lattice site x; a(0) = 0 exactly.
+    DomainError for any other x, or beyond QUADRATURE_ORDER."""
+    x1, x2 = lattice_site(x)
     if x1 == 0 and x2 == 0:
         return 0.0
     return float(potential_exact_many([x1], [x2])[0])
@@ -225,9 +227,9 @@ _table = _RemainderTable()
 
 def potential_many(xs, ys) -> np.ndarray:
     """a over integer offset arrays: (2/pi) log|x| + k0 + eps, exact within
-    EXACT_RADIUS and asymptotic beyond; a(0) = 0."""
-    xs = np.asarray(xs, dtype=np.int64)
-    ys = np.asarray(ys, dtype=np.int64)
+    EXACT_RADIUS and asymptotic beyond; a(0) = 0.  DomainError for an
+    offset that is not an integer (``lattice_coordinates``)."""
+    xs, ys = lattice_coordinates(xs), lattice_coordinates(ys)
     out = np.zeros(xs.shape, dtype=np.float64)
     for lo in range(0, len(xs), SITE_BLOCK):
         x, y = xs[lo:lo + SITE_BLOCK], ys[lo:lo + SITE_BLOCK]
@@ -243,10 +245,11 @@ def kernel_remainder(xs, ys) -> np.ndarray:
 
     Exact (quadrature) within EXACT_RADIUS and 0 beyond it, the policy of
     ``potential_many``.  Raises DomainError at the origin, where eps is
-    singular.
+    singular, and for an offset that is not an integer
+    (``lattice_coordinates``).
     """
-    xs, ys = np.broadcast_arrays(np.asarray(xs, dtype=np.int64),
-                                 np.asarray(ys, dtype=np.int64))
+    xs, ys = np.broadcast_arrays(lattice_coordinates(xs),
+                                 lattice_coordinates(ys))
     # arrays of our own, even for scalars: the cell index is built in them
     x1 = np.abs(xs, out=np.empty_like(xs))
     x2 = np.abs(ys, out=np.empty_like(ys))

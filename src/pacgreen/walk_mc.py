@@ -33,19 +33,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .domain import LatticeDomain, arc_index_of_radius, require_bytes
+from .domain import (ArcMeasure, LatticeDomain, arc_index_of_radius,
+                     require_bytes)
 from .errors import DomainError, StepBudgetError
 
 _MASK64 = (1 << 64) - 1
 _CHUNK0 = 1024
 _CHUNK_MAX = 32768
-
-# How far an arc law may stray from [0, 1] and from total mass 1.  The
-# discrete law comes from a solve stopped at max-norm residual 1e-10: its
-# row sums to 1 plus the sum of the residuals, measured within 4.4e-9 for
-# n <= 256, with every entry positive.  The walk and Brownian laws sum to 1
-# up to rounding.
-ARC_TOLERANCE = 1e-6
 
 # Bytes of walk state per trial: a run holds every live trial's state at
 # once, unchunked.  The tracemalloc peak of a run at alpha = pi, n = 64 is
@@ -67,28 +61,6 @@ class WalkRunConfig:
             raise DomainError("trials must be positive")
         require_bytes(_BYTES_PER_TRIAL * int(self.trials),
                       f"a walk of {self.trials} trials")
-
-
-@dataclass
-class ArcMeasure:
-    """Probability per boundary arc k in 1..N, with optional MC metadata."""
-
-    probabilities: np.ndarray
-    trials: int | None = None
-    counts: np.ndarray | None = None
-    stderr: np.ndarray | None = None
-
-    def __post_init__(self):
-        p = np.asarray(self.probabilities, dtype=np.float64)
-        if np.any(p < -ARC_TOLERANCE) or np.any(p > 1.0 + ARC_TOLERANCE):
-            raise DomainError("arc probabilities must lie in [0, 1]")
-        if abs(p.sum() - 1.0) > ARC_TOLERANCE:
-            raise DomainError("arc probabilities must sum to 1")
-        self.probabilities = p
-
-    @property
-    def total(self) -> float:
-        return float(self.probabilities.sum())
 
 
 def trial_rng(seed: int, stream: int) -> np.random.Generator:

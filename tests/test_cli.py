@@ -314,6 +314,18 @@ class TestWriter:
         assert capsys.readouterr().err.startswith("error: ")
         assert list(tmp_path.iterdir()) == []
 
+    def test_failed_write_names_the_output(self, tmp_path, capsys,
+                                           monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        rc = dispatch(["rate", "--alphas", "3.141592653589793",
+                       "--ns", "8,9,10", "--out", "r.csv",
+                       "--plot", os.path.join("missing", "p.svg")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert os.path.join("missing", "p.svg") in err
+        assert ".pacgreen-" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_failed_manifest_leaves_no_outputs(self, tmp_path):
         # the manifest is written last; a directory in its place fails it
         (tmp_path / "bm.csv.manifest.json").mkdir()

@@ -17,7 +17,8 @@ from pacgreen import (DomainError, arc_index, bm_arc_measure, build_geometry,
                       green_solve, lattice_domain_from_sites, nearest_boundary,
                       potential_asymptotic, potential_exact)
 from pacgreen.domain import (_BYTES_PER_CELL, _keep_freed_memory, arc_edges,
-                             arc_index_of_radius, point_xy, require_memory,
+                             arc_index_of_radius, lattice_coordinates,
+                             lattice_site, point_xy, require_memory,
                              require_scale, sector_mask)
 from pacgreen.walk_mc import _jump_tables
 
@@ -160,6 +161,58 @@ class TestPointCoercion:
             assert point_xy(z) == (3, 4)
             assert contains(g, z)
         assert potential_exact(3 + 4j) == potential_exact((3, 4))
+
+
+class TestLatticeSite:
+    @pytest.mark.parametrize("z", [(3, 4), (3.0, 4), 3 + 4j, np.array([3.0, 4.0]),
+                                   (np.float32(3), np.int8(4))],
+                             ids=["ints", "float", "complex", "float row",
+                                  "numpy scalars"])
+    def test_integer_coordinates_read_as_ints(self, z):
+        site = lattice_site(z)
+        assert site == (3, 4)
+        assert [type(v) for v in site] == [int, int]
+
+    @pytest.mark.parametrize("z", [(3.5, 4), (0.5, 0), 0.5 + 0j, (np.inf, 0),
+                                   (np.nan, 0), ("3", 4)],
+                             ids=["(3.5,4)", "(0.5,0)", "0.5+0j", "inf", "nan",
+                                  "str"])
+    def test_other_points_refused(self, z):
+        with pytest.raises(DomainError, match="not a lattice site"):
+            lattice_site(z)
+
+    def test_array_form(self):
+        for v in ([3.0, -2.0], np.array([3, -2], dtype=np.int32)):
+            a = lattice_coordinates(v)
+            assert a.dtype == np.int64 and a.tolist() == [3, -2]
+        # an int64 array is taken as it is, without a pass over it
+        a = np.arange(5)
+        assert lattice_coordinates(a) is a
+
+    @pytest.mark.parametrize("v", [[3.5], [np.nan], [np.inf], [2.0 ** 63],
+                                   [2 ** 63], [1, 10 ** 400], ["3"], [1j]],
+                             ids=["3.5", "nan", "inf", "2.0^63", "2^63",
+                                  "1e400", "str", "complex"])
+    def test_array_form_refuses_non_integers(self, v):
+        with pytest.raises(DomainError, match="integers within int64"):
+            lattice_coordinates(v)
+
+    def test_interior_index_refuses_non_lattice_points(self):
+        d = build_lattice_domain(build_geometry(PI, 16))
+        for lookup in (d.interior_index, d.boundary_index):
+            with pytest.raises(DomainError, match="not a lattice site"):
+                lookup((0.5, 0))
+            # a lattice site off the grid is no site of the domain
+            assert lookup((10 ** 400, 0)) == -1
+
+    def test_from_sites_takes_lattice_sites_only(self):
+        g = build_geometry(PI, 8)
+        for sites in ([(0.5, 0)], [(0, 0, 7)]):
+            with pytest.raises(DomainError):
+                lattice_domain_from_sites(g, sites)
+        d = lattice_domain_from_sites(g, [0j])
+        assert d.interior.tolist() == [[0, 0]]
+        assert np.array_equal(d.grid, lattice_domain_from_sites(g, [(0, 0)]).grid)
 
 
 class TestLatticeDomain:

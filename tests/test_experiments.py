@@ -161,6 +161,16 @@ class TestExpdiff:
         with pytest.raises(DomainError):
             expdiff_estimate(g, zx, far, cfg)        # |x - y| too large
 
+    @pytest.mark.parametrize("x", [(26.5, -60), (26.9, -60.9)])
+    def test_x_must_be_a_lattice_site(self, x, monkeypatch):
+        # refused with the other inputs, before the domain is built
+        def build(g):
+            raise AssertionError("domain built")
+        monkeypatch.setattr(experiments, "build_lattice_domain", build)
+        g = build_geometry(PI, 64)
+        with pytest.raises(DomainError, match="not a lattice site"):
+            expdiff_estimate(g, x, (26, -60), WalkRunConfig(trials=50, seed=5))
+
     def test_x_takes_the_point_forms_y_takes(self):
         g = build_geometry(PI, 64)
         cfg = WalkRunConfig(trials=50, seed=3)

@@ -205,6 +205,23 @@ class TestExact:
         with pytest.raises(DomainError):
             potential_exact_many([1, pt[0]], [0, pt[1]])
 
+    def test_refuses_a_point_that_is_no_lattice_site(self):
+        with pytest.raises(DomainError, match="not a lattice site"):
+            potential_exact((3.5, 4))
+        assert potential_exact((3.0, 4)) == potential_exact((3, 4))
+
+    # the array form of the point rule, in every kernel function that
+    # takes offset arrays
+    @pytest.mark.parametrize("f", [potential_exact_many, potential_many,
+                                   kernel_remainder],
+                             ids=["exact_many", "many", "remainder"])
+    def test_offset_arrays_take_integers_only(self, f):
+        with pytest.raises(DomainError, match="integers"):
+            f([3.5], [4])
+        with pytest.raises(DomainError, match="integers"):
+            f([3], [4.5])
+        assert f([3.0], [4.0]).tolist() == f([3], [4]).tolist()
+
 
 class TestAsymptotic:
     def test_k0_value(self):
