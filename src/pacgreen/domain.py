@@ -154,8 +154,15 @@ def point_xy(z) -> tuple:
     for any other shape, so no entry past the second is dropped."""
     if isinstance(z, numbers.Complex):
         return z.real, z.imag
-    if np.ndim(z) == 1 and len(z) == 2:
-        return z[0], z[1]
+    if (isinstance(z, (tuple, list)) and len(z) == 2
+            and isinstance(z[0], numbers.Number)
+            and isinstance(z[1], numbers.Number)):
+        return z[0], z[1]                   # the common case, without numpy
+    try:
+        if np.ndim(z) == 1 and len(z) == 2:
+            return z[0], z[1]
+    except ValueError:                      # a ragged sequence
+        pass
     raise DomainError(f"a point is a complex number or an (x, y) pair, got {z!r}")
 
 
@@ -399,14 +406,18 @@ def lattice_domain_from_sites(g: PacmanGeometry, interior_sites) -> LatticeDomai
 
     Boundary and arc classification follow the same rules as the full
     discretization.  Intended for small hand-checkable domains; the
-    geometry supplies the coordinate frame and arc metadata.
+    geometry supplies the coordinate frame and arc metadata.  Raises
+    DomainError, before allocating, when the mask around the sites would
+    exceed the machine's physical memory at _BYTES_PER_CELL per cell.
     """
-    w = np.array([lattice_site(p) for p in interior_sites],
-                 dtype=np.int64).reshape(-1, 2)
-    if not w.size:
+    w = [lattice_site(p) for p in interior_sites]
+    if not w:
         raise DomainError("need at least one interior site")
-    w += np.array(g.z0, dtype=np.int64)
-    off = int(np.abs(w).max()) + 2
+    x0, y0 = g.z0
+    off = max(max(abs(x + x0), abs(y + y0)) for x, y in w) + 2
+    require_bytes(_BYTES_PER_CELL * (2 * off + 1) ** 2,
+                  "a lattice around the given sites")
+    w = lattice_coordinates(w) + np.array(g.z0, dtype=np.int64)
     mask = np.zeros((2 * off + 1, 2 * off + 1), dtype=bool)
     mask[w[:, 1] + off, w[:, 0] + off] = True
     return _from_mask(g, mask)

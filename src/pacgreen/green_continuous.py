@@ -151,10 +151,13 @@ def _cauchy_cdf(p: complex, t):
 
 def cauchy_interval_measure(p, lo: float, hi: float) -> float:
     """Harmonic measure of the real interval [lo, hi] seen from p in the
-    upper half-plane: the Cauchy CDF difference."""
+    upper half-plane: the Cauchy CDF difference.  DomainError unless
+    lo <= hi, which also refuses a NaN bound."""
     p = complex(p)
     if p.imag <= 0:
         raise DomainError("p must lie in the open upper half-plane")
+    if not lo <= hi:
+        raise DomainError(f"need lo <= hi, got [{lo}, {hi}]")
     return float(_cauchy_cdf(p, hi) - _cauchy_cdf(p, lo))
 
 

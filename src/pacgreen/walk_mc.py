@@ -14,14 +14,18 @@ counts and exit times are Rao-Blackwellized: each sojourn adds its
 expectation, G_box(centre, w) or sum(G_box), in place of its realisation.
 
 All trials of a run jump in lockstep, one round per jump, so a round
-costs about ten numpy calls however many trials it moves.  Uniform j
+costs a few numpy calls however many trials it moves.  Uniform j
 of trial i is word j mod 4 of the Philox4x64-10 block (Salmon et al.,
 SC'11) with key (seed, i) and counter j // 4 + 1, so one numpy evaluation
 of the block function fills the draws of every trial still inside for
 the next rounds, and each trial draws bit for bit the doubles
 ``trial_rng(seed, i).random()`` gives.  The side and site of a jump are
 read off the draw's integer bits through one key table for all levels.
-``simulate_exit`` keeps the stepwise walk as the reference.
+Cells off the interior have a level of their own whose every jump stays
+put, so a trial that exits waits in place, adding nothing, until the
+draw buffer next refills; only then are exited trials collected.  A run
+adds up only the sums its front end returns.  ``simulate_exit`` keeps
+the stepwise walk as the reference.
 """
 
 from __future__ import annotations
@@ -42,10 +46,10 @@ _CHUNK0 = 1024
 _CHUNK_MAX = 32768
 
 # Bytes of walk state per trial: a run holds every live trial's state at
-# once, unchunked.  The tracemalloc peak of a run at alpha = pi, n = 64 is
-# 177 a trial (10.6 MB at 60 000 trials; CHANGES.md, "Lockstep engine:
-# fixed cost per round cut").
-_BYTES_PER_TRIAL = 177
+# once, unchunked.  The largest tracemalloc peak of the four front ends at
+# alpha = pi, n = 64, 60 000 trials from (0, 0) or (26, -60), is green_mc's
+# from (0, 0): 234 a trial (14.0 MB).
+_BYTES_PER_TRIAL = 234
 
 
 @dataclass(frozen=True)
@@ -264,6 +268,7 @@ def _jump_tables(d: LatticeDomain) -> _Jumps:
     jumps with square radius r = ``_square_radius(c)`` to site t = -r .. r
     of side s: the step (r + 1, t) turned by s quarter turns, so sides
     0 .. 3 are the walls x+, y+, x-, y- and one law serves all four.
+    Code 0 absorbs: one site a side, at offset 0, and mean time 0.
 
     One sorted key table serves every level.  A double u = m 2^-53 makes
     side s = floor(4u) and site ``bisect_right(cum, 4u - s)``; as
@@ -287,7 +292,7 @@ def _jump_tables(d: LatticeDomain) -> _Jumps:
             break
         r += step
         code += E
-    laws, keys = [None], []
+    laws = [(np.zeros((4, 1), dtype=np.int64), np.empty(0), 0.0)]
     for c in range(1, int(code.max()) + 1):
         r = _square_radius(c)
         cum, mean_time, _ = _square_law(r)
@@ -295,14 +300,16 @@ def _jump_tables(d: LatticeDomain) -> _Jumps:
         a = r + 1
         offs = np.stack([a + t * W, a * W - t, -a - t * W, t - a * W])
         laws.append((offs, cum, mean_time))
+    keys = []
+    for c, (_, cum, _) in enumerate(laws):
         site = np.ceil(cum * 2.0 ** 51).astype(np.uint64)
         for g in range(4 * c, 4 * c + 4):
             keys += [np.uint64(g << 51) + site, np.full(1, (g + 1) << 51,
                                                          dtype=np.uint64)]
     d._jump_cache = _Jumps(
         levels=code.ravel(), laws=laws, keys=np.concatenate(keys),
-        offs=np.concatenate([law[0].ravel() for law in laws[1:]]),
-        mean_time=np.array([0.0] + [law[2] for law in laws[1:]]))
+        offs=np.concatenate([law[0].ravel() for law in laws]),
+        mean_time=np.array([law[2] for law in laws]))
     return d._jump_cache
 
 
@@ -316,8 +323,11 @@ def _box_greens(codes: int):
     return radius, np.concatenate(G), start
 
 
-def _run_trials(d: LatticeDomain, start, count_site, cfg: WalkRunConfig):
-    """(exits, visits, exit times) arrays indexed by trial.
+def _run_trials(d: LatticeDomain, start, count_site, cfg: WalkRunConfig,
+                times: bool = False):
+    """(exits, visits, exit times) arrays indexed by trial.  Visits to
+    count_site are kept only when it is given (None counts nothing, so
+    visits are 0), and exit times only when ``times`` (else None).
 
     All trials walk on squares in lockstep: round j makes jump j of every
     trial still inside.  Its uniform u is double j of the trial's Philox
@@ -325,10 +335,11 @@ def _run_trials(d: LatticeDomain, start, count_site, cfg: WalkRunConfig):
     gives, so any prefix of trials reproduces exactly under a larger trial
     count.  4u picks side floor(4u) and, by bisection at 4u - side, the
     site on it, both read off u's integer bits through one key table.
-    Visits to count_site (None counts nothing) and exit times are
-    Rao-Blackwellized: each jump adds G_box(centre, count_site) and the
-    square's mean exit time, in jump order.  The trials still inside are
-    kept packed, and leave their results when they exit.
+    Visits to count_site and exit times are Rao-Blackwellized: each jump
+    adds G_box(centre, count_site) and the square's mean exit time, in
+    jump order.  A trial that exits stands still on level code 0 and adds
+    0.0, so the packed arrays shed the trials that exited only when the
+    draw buffer refills, and the run ends when no trial is inside.
     """
     t = _jump_tables(d)
     W = d.stride
@@ -339,24 +350,33 @@ def _run_trials(d: LatticeDomain, start, count_site, cfg: WalkRunConfig):
     budget = _budget(d.geometry.n)
     code_key = np.arange(len(t.laws), dtype=np.uint64) << 53
     ends = np.empty(cfg.trials, dtype=np.int64)
-    visits, times = np.zeros(cfg.trials), np.zeros(cfg.trials)
-    live = np.arange(cfg.trials)        # the trials still inside,
+    visits, exit_times = np.zeros(cfg.trials), None
+    if q >= 0:
+        vis = np.zeros(cfg.trials)
+    if times:
+        exit_times, tim = np.zeros(cfg.trials), np.zeros(cfg.trials)
+    live = np.arange(cfg.trials)        # the trials not yet collected,
     p = np.full(cfg.trials, int(d.flat(start)), dtype=np.int64)  # their cells
-    vis, tim = np.zeros(cfg.trials), np.zeros(cfg.trials)
     first = end = 0                     # the rounds the draw buffer holds
     for j in itertools.count():
         code = t.levels[p]
-        if not code.all():
+        if j == end or not code.any():
             out = code == 0
-            gone = live[out]
-            ends[gone], visits[gone], times[gone] = p[out], vis[out], tim[out]
-            if gone.size == live.size:
-                return d.unflat(ends), visits, times
-            inside = ~out
-            live, p, code = live[inside], p[inside], code[inside]
-            vis, tim = vis[inside], tim[inside]
-            if j < end:
-                buf = buf[:, inside]
+            if out.any():
+                gone = live[out]
+                ends[gone] = p[out]
+                if q >= 0:
+                    visits[gone] = vis[out]
+                if times:
+                    exit_times[gone] = tim[out]
+                if gone.size == live.size:
+                    return d.unflat(ends), visits, exit_times
+                inside = np.flatnonzero(code)
+                live, p, code = live[inside], p[inside], code[inside]
+                if q >= 0:
+                    vis = vis[inside]
+                if times:
+                    tim = tim[inside]
         if j == budget:
             raise StepBudgetError(
                 f"walk did not exit within {budget} jumps (configuration bug)")
@@ -364,7 +384,8 @@ def _run_trials(d: LatticeDomain, start, count_site, cfg: WalkRunConfig):
             blocks = -(-_BATCH // live.size)
             buf = _draws(cfg.seed, live, j // 4, blocks)
             first, end = j, j + 4 * blocks
-        tim += t.mean_time[code]
+        if times:
+            tim += t.mean_time[code]
         if q >= 0:
             r = radius[code]
             y, x = np.divmod(p, W)
@@ -408,7 +429,7 @@ def mean_exit_steps(d: LatticeDomain, x, cfg: WalkRunConfig):
 
     Each square sojourn adds sum(G_box), its expected length in steps.
     """
-    _, _, steps = _run_trials(d, d.interior_site(x), None, cfg)
+    _, _, steps = _run_trials(d, d.interior_site(x), None, cfg, times=True)
     return mean_stderr(steps)
 
 

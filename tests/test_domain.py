@@ -162,6 +162,12 @@ class TestPointCoercion:
             assert contains(g, z)
         assert potential_exact(3 + 4j) == potential_exact((3, 4))
 
+    @pytest.mark.parametrize("z", [((1, 2), (3, 4)), (1, (2, 3)), [[1], 2]],
+                             ids=["nested", "ragged", "ragged list"])
+    def test_nested_or_ragged_pairs_refused(self, z):
+        with pytest.raises(DomainError, match="complex number or an"):
+            point_xy(z)
+
 
 class TestLatticeSite:
     @pytest.mark.parametrize("z", [(3, 4), (3.0, 4), 3 + 4j, np.array([3.0, 4.0]),
@@ -213,6 +219,20 @@ class TestLatticeSite:
         d = lattice_domain_from_sites(g, [0j])
         assert d.interior.tolist() == [[0, 0]]
         assert np.array_equal(d.grid, lattice_domain_from_sites(g, [(0, 0)]).grid)
+
+    @pytest.mark.parametrize("far", [10 ** 6, 10 ** 400])
+    def test_from_sites_refuses_a_mask_over_memory(self, far):
+        # one site 10^6 from the tip asks for a 3.64 TiB mask, and 10^400
+        # is past int64: both are refused before anything is allocated
+        g = build_geometry(PI, 8)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError):
+                lattice_domain_from_sites(g, [(far, 0)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
 
 class TestLatticeDomain:

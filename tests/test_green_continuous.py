@@ -202,6 +202,14 @@ class TestBmArcMeasure:
     def test_halfplane_cauchy_rule(self):
         assert cauchy_interval_measure(1j, -1.0, 1.0) == pytest.approx(0.5, abs=1e-12)
         assert cauchy_interval_measure(1j, -math.inf, math.inf) == pytest.approx(1.0, abs=1e-15)
+        assert cauchy_interval_measure(1j, 0.5, 0.5) == 0.0
+
+    @pytest.mark.parametrize("lo, hi", [(1.0, -1.0), (math.inf, -math.inf),
+                                        (math.nan, 1.0), (-1.0, math.nan)])
+    def test_cauchy_rule_refuses_a_reversed_or_nan_interval(self, lo, hi):
+        # a reversed interval gave a negative measure: -0.5 for [1, -1]
+        with pytest.raises(DomainError):
+            cauchy_interval_measure(1j, lo, hi)
 
     def test_nonnegative(self):
         g = build_geometry(0.0, 64)

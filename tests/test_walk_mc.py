@@ -169,10 +169,10 @@ class TestWalkArcMeasure:
         # every exit, visit sum and exit time of a shorter one, also when
         # the shorter one draws many blocks ahead
         long = _run_trials(pacman16, (3, -2), (0, 0),
-                           WalkRunConfig(trials=600, seed=55))
+                           WalkRunConfig(trials=600, seed=55), times=True)
         for k in (7, 300):
             short = _run_trials(pacman16, (3, -2), (0, 0),
-                                WalkRunConfig(trials=k, seed=55))
+                                WalkRunConfig(trials=k, seed=55), times=True)
             for a, b in zip(long, short):
                 assert same_bits(a[:k], b)
 
@@ -305,7 +305,8 @@ class TestJumpEngine:
         # 3 and 100 trials fill the draw buffer many blocks ahead, and
         # refill it after trials exit
         d = request.getfixturevalue(domain)
-        got = _run_trials(d, start, count_site, WalkRunConfig(trials, seed))
+        got = _run_trials(d, start, count_site, WalkRunConfig(trials, seed),
+                          times=True)
         for a, b in zip(got, replay(d, start, count_site, seed, trials)):
             assert same_bits(a, b)
 
@@ -315,7 +316,11 @@ class TestJumpEngine:
         # on the offset that 4u, its side and bisect_right(cum) pick
         d = build_lattice_domain(build_geometry(PI, n))
         t = _jump_tables(d)
-        for c in range(1, len(t.laws)):
+        # code 0, off the interior, absorbs: every draw stays put (the
+        # loop below also runs code 0, at the ends of each side)
+        u53 = np.arange(0, 2**53, 2**45 - 1, dtype=np.uint64)
+        assert not t.offs[t.keys.searchsorted(u53, side="right")].any()
+        for c in range(len(t.laws)):
             offs, cum, _ = t.laws[c]
             edge = np.ceil(np.asarray(cum) * 2.0**51).astype(np.int64)
             m = np.unique(np.clip(np.concatenate(
@@ -377,7 +382,7 @@ class TestConfig:
             WalkRunConfig(trials=0, seed=1)
 
     def test_trials_over_physical_memory(self):
-        # 10^12 trials at about 177 bytes each need about 161 TiB; the
+        # 10^12 trials at about 234 bytes each need about 213 TiB; the
         # config must refuse before any walk state is allocated
         tracemalloc.start()
         try:
@@ -461,15 +466,18 @@ class TestPinnedOutputs:
     but moves draws to other sites (a rotated side order, a transposed
     table) passes every statistical test and fails here."""
 
-    # seed: (sample_exits exits, green_mc (mean, stderr), simulate_exit exits)
+    # seed: (sample_exits exits, green_mc (mean, stderr), simulate_exit
+    # exits, mean_exit_steps (mean, stderr))
     DIGESTS = {
         0: ("8eedb19524e299c3f832328960830f79aee50008495fb73cbee2bfabe3100941",
             "c7c4ac1bd08513780f527a18e7515e08e19fac8bdf47c2e8fbd0d0193bef99d4",
-            "71ab6223f065f1420d40a92737e30cfd75191a749b9ab5977e05687050ee8d15"),
+            "71ab6223f065f1420d40a92737e30cfd75191a749b9ab5977e05687050ee8d15",
+            "e054c02ecf908e102ec5bb0de2d68e1103ce02297807c1f4365ad6e36d6a155e"),
         20261019: (
             "c68572fcc8fd3aeb7f910358eaae225fd5e5a6c4fec21b889d52e115ebe1bf51",
             "e65179335b52d1a2d86a5457a10bd2289391e4d9055c92a1562ddcec148a740d",
-            "00c7a1e00d6c125857f9311d5c99365beed64d809a9d80024b3227144cfab4fd"),
+            "00c7a1e00d6c125857f9311d5c99365beed64d809a9d80024b3227144cfab4fd",
+            "0810710df703bd53ee1aa4ada28086061871ef5afdab664c42849113652036d5"),
     }
 
     @pytest.mark.parametrize("seed", sorted(DIGESTS))
@@ -479,7 +487,8 @@ class TestPinnedOutputs:
             sample_exits(pacman16, (0, 0), cfg),
             np.array(green_mc(pacman16, (0, 0), cfg)),
             np.array([simulate_exit(pacman16, (0, 0), trial_rng(seed, i))[0]
-                      for i in range(50)]))
+                      for i in range(50)]),
+            np.array(mean_exit_steps(pacman16, (0, 0), cfg)))
         digests = tuple(hashlib.sha256(a.tobytes()).hexdigest()
                         for a in outputs)
         assert digests == self.DIGESTS[seed]
