@@ -149,20 +149,16 @@ def _inside_disk(g: PacmanGeometry, wx, wy):
 
 
 def point_xy(z) -> tuple:
-    """The coordinates of a point given as a complex number or as a 1-D
-    (x, y) pair (tuple, list or array row), entries as given.  DomainError
-    for any other shape, so no entry past the second is dropped."""
+    """The coordinates of a point given as a complex number, an array of
+    shape (2,) or a tuple or list of two scalars, entries as given.
+    DomainError for anything else, so no entry past the second is dropped
+    and no nested pair is taken for a point."""
     if isinstance(z, numbers.Complex):
         return z.real, z.imag
-    if (isinstance(z, (tuple, list)) and len(z) == 2
-            and isinstance(z[0], numbers.Number)
-            and isinstance(z[1], numbers.Number)):
-        return z[0], z[1]                   # the common case, without numpy
-    try:
-        if np.ndim(z) == 1 and len(z) == 2:
-            return z[0], z[1]
-    except ValueError:                      # a ragged sequence
-        pass
+    if (isinstance(z, np.ndarray) and z.shape == (2,)
+            or isinstance(z, (tuple, list)) and len(z) == 2
+            and np.isscalar(z[0]) and np.isscalar(z[1])):
+        return z[0], z[1]
     raise DomainError(f"a point is a complex number or an (x, y) pair, got {z!r}")
 
 
