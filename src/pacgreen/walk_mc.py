@@ -18,7 +18,8 @@ costs a few numpy calls however many trials it moves.  Uniform j
 of trial i is word j mod 4 of the Philox4x64-10 block (Salmon et al.,
 SC'11) with key (seed, i) and counter j // 4 + 1, so one numpy evaluation
 of the block function fills the draws of every trial still inside for
-the next rounds, and each trial draws bit for bit the doubles
+the next rounds, as many as have already run when they fit, and each
+trial draws bit for bit the doubles
 ``trial_rng(seed, i).random()`` gives.  The side and site of a jump are
 read off the draw's integer bits through one key table for all levels.
 Cells off the interior have a level of their own whose every jump stays
@@ -47,9 +48,9 @@ _CHUNK_MAX = 32768
 
 # Bytes of walk state per trial: a run holds every live trial's state at
 # once, unchunked.  The largest tracemalloc peak of the four front ends at
-# alpha = pi, n = 64, 60 000 trials from (0, 0) or (26, -60), is green_mc's
-# from (0, 0): 234 a trial (14.0 MB).
-_BYTES_PER_TRIAL = 234
+# alpha = pi, n = 64, 60 000 trials from (0, 0) or (26, -60), is
+# mean_exit_steps' from (0, 0): 207 a trial (12.4 MB).
+_BYTES_PER_TRIAL = 207
 
 
 @dataclass(frozen=True)
@@ -84,8 +85,9 @@ _SHIFT32 = np.array(32, dtype=np.uint64)
 # A round takes its uniform from a buffer of draws that one block-function
 # evaluation fills for every trial still inside.  The evaluation costs
 # about 180 numpy calls whatever its size, so it covers at least _BATCH
-# (trial, block) pairs: the next block of every trial when many are
-# inside, many blocks ahead when few are.
+# (trial, block) pairs, many blocks ahead when few trials are inside, and
+# as many rounds as have run when that fits in one block per trial of the
+# run (see ``_run_trials``).
 _BATCH = 256
 
 
@@ -253,7 +255,7 @@ class _Jumps:
 
     levels: np.ndarray      # uint8 level code per cell, 0 off the interior
     laws: list              # per code: (offsets [side, site], cum, mean time)
-    keys: np.ndarray        # uint64 bisection keys of every (code, side)
+    keys: _Keys             # ``_key_table(len(laws))``, shared
     offs: np.ndarray        # int64 flat offset per key
     mean_time: np.ndarray   # per code
 
@@ -269,14 +271,8 @@ def _jump_tables(d: LatticeDomain) -> _Jumps:
     of side s: the step (r + 1, t) turned by s quarter turns, so sides
     0 .. 3 are the walls x+, y+, x-, y- and one law serves all four.
     Code 0 absorbs: one site a side, at offset 0, and mean time 0.
-
-    One sorted key table serves every level.  A double u = m 2^-53 makes
-    side s = floor(4u) and site ``bisect_right(cum, 4u - s)``; as
-    4u - s = (m mod 2^51) 2^-51 exactly, cum_i <= 4u - s iff
-    ceil(cum_i 2^51) <= m mod 2^51.  So group g = 4c + s holds the keys
-    g 2^51 + ceil(cum_i 2^51), closed by (g + 1) 2^51, and
-    ``bisect_right(keys, c 2^53 + m)`` lands on the group's start plus
-    the site: ``offs`` lists every group's flat offsets in that order.
+    ``offs`` lists every (code, side)'s flat offsets in the order of
+    ``_key_table``.
     """
     cached = getattr(d, "_jump_cache", None)
     if cached is not None:
@@ -300,17 +296,75 @@ def _jump_tables(d: LatticeDomain) -> _Jumps:
         a = r + 1
         offs = np.stack([a + t * W, a * W - t, -a - t * W, t - a * W])
         laws.append((offs, cum, mean_time))
+    d._jump_cache = _Jumps(
+        levels=code.ravel(), laws=laws, keys=_key_table(len(laws)),
+        offs=np.concatenate([law[0].ravel() for law in laws]),
+        mean_time=np.array([law[2] for law in laws]))
+    return d._jump_cache
+
+
+# The key guide has at most 2^_GUIDE_BITS buckets per (code, side).  One
+# key a bucket takes about 2 log2 of the largest square radius bits: 10 at
+# n = 64, 12 at n = 128.  Past that the cap holds the guide to 128 KiB per
+# level code, and a draw steps over a few keys: at most 5 at n = 512.
+_GUIDE_BITS = 12
+
+
+@dataclass(frozen=True)
+class _Keys:
+    """Sorted bisection keys and a guide that bisects them in O(1) numpy
+    calls per round (see ``_key_table``)."""
+
+    keys: np.ndarray        # sorted uint64, read-only
+    guide: np.ndarray       # bisect_right(keys, bucket start) per bucket
+    shift: np.ndarray       # a key's bucket is key >> shift
+    passes: int             # most keys inside one bucket
+
+    def bisect(self, v: np.ndarray) -> np.ndarray:
+        """``bisect_right(keys, x)`` for each uint64 x in v."""
+        i = self.guide[v >> self.shift]
+        for _ in range(self.passes):
+            i += self.keys[i] <= v
+        return i
+
+
+@lru_cache(maxsize=None)
+def _key_table(codes: int) -> _Keys:
+    """Bisection keys of level codes 0 .. codes - 1, built once per count.
+
+    One sorted uint64 table serves every level.  A double u = m 2^-53
+    makes side s = floor(4u) and site ``bisect_right(cum, 4u - s)``; as
+    4u - s = (m mod 2^51) 2^-51 exactly, cum_i <= 4u - s iff
+    ceil(cum_i 2^51) <= m mod 2^51.  So group g = 4c + s holds the keys
+    g 2^51 + ceil(cum_i 2^51), closed by (g + 1) 2^51, and
+    ``bisect_right(keys, c 2^53 + m)`` lands on the group's start plus
+    the site.  Code 0 has one site a side, so no cum.
+
+    numpy's bisection costs about 50 ns a draw.  The guide splits each
+    group into 2^b equal buckets and holds the bisection at each bucket's
+    start; a draw then steps from its bucket's entry over the keys inside
+    the bucket.  b is the least width that leaves at most one key in a
+    bucket, but no more than _GUIDE_BITS.
+    """
     keys = []
-    for c, (_, cum, _) in enumerate(laws):
+    for c in range(codes):
+        cum = _square_law(_square_radius(c))[0] if c else np.empty(0)
         site = np.ceil(cum * 2.0 ** 51).astype(np.uint64)
         for g in range(4 * c, 4 * c + 4):
             keys += [np.uint64(g << 51) + site, np.full(1, (g + 1) << 51,
                                                          dtype=np.uint64)]
-    d._jump_cache = _Jumps(
-        levels=code.ravel(), laws=laws, keys=np.concatenate(keys),
-        offs=np.concatenate([law[0].ravel() for law in laws]),
-        mean_time=np.array([law[2] for law in laws]))
-    return d._jump_cache
+    keys = np.concatenate(keys)
+    b = min(52 - int(np.diff(keys).min()).bit_length(), _GUIDE_BITS)
+    shift = np.array(51 - b, dtype=np.uint64)
+    # bucket starts in [keys[i - 1], keys[i]) bisect to i; there are
+    # ceil(keys[i] / w) - ceil(keys[i - 1] / w) of them, w = 2^shift
+    up = (keys + np.uint64((1 << (51 - b)) - 1)) >> shift
+    guide = np.repeat(np.arange(keys.size),
+                      np.diff(up, prepend=0).astype(np.intp))
+    passes = int(np.unique(up, return_counts=True)[1].max())
+    for a in (keys, guide):
+        a.setflags(write=False)
+    return _Keys(keys, guide, shift, passes)
 
 
 @lru_cache(maxsize=None)
@@ -337,9 +391,16 @@ def _run_trials(d: LatticeDomain, start, count_site, cfg: WalkRunConfig,
     site on it, both read off u's integer bits through one key table.
     Visits to count_site and exit times are Rao-Blackwellized: each jump
     adds G_box(centre, count_site) and the square's mean exit time, in
-    jump order.  A trial that exits stands still on level code 0 and adds
-    0.0, so the packed arrays shed the trials that exited only when the
-    draw buffer refills, and the run ends when no trial is inside.
+    jump order; only trials on a cell whose square holds count_site add
+    a visit term.  A trial that exits stands still on level code 0 and
+    adds 0.0, so the packed arrays shed the trials that exited only when
+    the draw buffer refills, and the run ends when no trial is inside.
+
+    A refill at round j gives each of the L live trials
+    max(ceil(_BATCH / L), min(j // 4, trials // L)) blocks: as many rounds
+    as have run, so a run makes O(log J) evaluations for J rounds, but
+    never more (trial, block) pairs than trials, or _BATCH rounded up to
+    a multiple of L.
     """
     t = _jump_tables(d)
     W = d.stride
@@ -347,6 +408,17 @@ def _run_trials(d: LatticeDomain, start, count_site, cfg: WalkRunConfig,
     qy, qx = divmod(q, W)
     if q >= 0:
         radius, G, G_at = _box_greens(len(t.laws))
+        # the cells whose square holds count_site: code c within l-infinity
+        # distance radius[c] of it (code 0 has radius 0, and count_site is
+        # interior), all within the largest radius R
+        R = int(radius[-1])
+        near = np.zeros((t.levels.size // W, W), dtype=bool)
+        box = np.s_[max(qy - R, 0):min(qy + R + 1, near.shape[0]),
+                    max(qx - R, 0):min(qx + R + 1, W)]
+        y, x = np.ogrid[box]
+        near[box] = (np.maximum(abs(y - qy), abs(x - qx))
+                     <= radius[t.levels.reshape(near.shape)[box]])
+        near = near.ravel()
     budget = _budget(d.geometry.n)
     code_key = np.arange(len(t.laws), dtype=np.uint64) << 53
     ends = np.empty(cfg.trials, dtype=np.int64)
@@ -381,22 +453,21 @@ def _run_trials(d: LatticeDomain, start, count_site, cfg: WalkRunConfig,
             raise StepBudgetError(
                 f"walk did not exit within {budget} jumps (configuration bug)")
         if j == end:
-            blocks = -(-_BATCH // live.size)
+            blocks = max(-(-_BATCH // live.size),
+                         min(j // 4, cfg.trials // live.size))
             buf = _draws(cfg.seed, live, j // 4, blocks)
             first, end = j, j + 4 * blocks
         if times:
             tim += t.mean_time[code]
         if q >= 0:
-            r = radius[code]
-            y, x = np.divmod(p, W)
-            dx, dy = qx - x, qy - y
-            hit = np.flatnonzero((np.abs(dx) <= r) & (np.abs(dy) <= r))
+            hit = np.flatnonzero(near[p])
             if hit.size:
-                r = r[hit]
-                vis[hit] += G[G_at[code[hit]] + (dy[hit] + r) * (2 * r + 1)
-                                + dx[hit] + r]
-        p += t.offs[t.keys.searchsorted(code_key[code] | buf[j - first],
-                                        side="right")]
+                c = code[hit]
+                r = radius[c]
+                y, x = np.divmod(p[hit], W)
+                vis[hit] += G[G_at[c] + (qy - y + r) * (2 * r + 1)
+                              + qx - x + r]
+        p += t.offs[t.keys.bisect(code_key[code] | buf[j - first])]
 
 
 def walk_arc_measure(d: LatticeDomain, x, cfg: WalkRunConfig) -> ArcMeasure:

@@ -299,16 +299,58 @@ class TestJumpEngine:
         ("pacman16", (0, 0), None, 4), ("pacman16", (0, 0), (0, 0), -5),
         ("pacman16", (9, -11), (2, 1), 2**64 - 1),
         ("plus_domain", (0, 0), (0, 0), 77), ("plus_domain", (1, 0), (0, 0), 77)])
-    @pytest.mark.parametrize("trials", [3, 100, 400])
+    @pytest.mark.parametrize("trials", [3, 100, 400, 1000])
     def test_lockstep_equals_scalar_replay(self, request, domain, start,
                                            count_site, seed, trials):
         # 3 and 100 trials fill the draw buffer many blocks ahead, and
-        # refill it after trials exit
+        # refill it after trials exit; 1000 trials from pacman16's centre
+        # run past 32 rounds, through refills capped at one block a trial
+        # and refills grown to the rounds already run
         d = request.getfixturevalue(domain)
         got = _run_trials(d, start, count_site, WalkRunConfig(trials, seed),
                           times=True)
         for a, b in zip(got, replay(d, start, count_site, seed, trials)):
             assert same_bits(a, b)
+
+    def test_refills_grow_with_the_run(self, monkeypatch):
+        # every refill continues the last one and gives each of the L live
+        # trials max(ceil(_BATCH / L), min(j // 4, trials // L)) blocks
+        d = build_lattice_domain(build_geometry(PI, 64))
+        trials, calls = 2000, []
+
+        def spy(seed, streams, first, blocks):
+            calls.append((first, blocks, streams.size))
+            return _draws(seed, streams, first, blocks)
+
+        monkeypatch.setattr(walk_mc, "_draws", spy)
+        sample_exits(d, (0, 0), WalkRunConfig(trials, 0))
+        assert calls[0][0] == 0
+        for (f0, b0, _), (f1, _, _) in zip(calls, calls[1:]):
+            assert f1 == f0 + b0
+        for first, blocks, live in calls:
+            assert blocks == max(-(-walk_mc._BATCH // live),
+                                 min(first, trials // live))
+            assert blocks * live <= max(walk_mc._BATCH, trials)
+        # O(log J) evaluations for J rounds: the last refill starts at round
+        # 4 f < J; one refill every 4 rounds makes 13 evaluations here
+        assert len(calls) <= 2 + math.ceil(math.log2(4 * calls[-1][0]))
+
+    def test_guide_steps_over_several_keys_a_bucket(self, monkeypatch):
+        # past n = 128 the guide's buckets are capped and hold several keys
+        monkeypatch.setattr(walk_mc, "_GUIDE_BITS", 4)
+        k = walk_mc._key_table.__wrapped__(8)
+        assert k.passes > 1
+        v = np.concatenate([k.keys - np.uint64(1), k.keys, k.keys + np.uint64(1)])
+        v = v[v < np.uint64(8 << 53)]
+        assert np.array_equal(k.bisect(v), k.keys.searchsorted(v, side="right"))
+
+    def test_key_table_is_shared_per_code_count(self):
+        a, b = (_jump_tables(build_lattice_domain(build_geometry(alpha, 64)))
+                for alpha in (1.0, PI))
+        assert len(a.laws) == len(b.laws)
+        assert a.keys is b.keys
+        assert not a.keys.keys.flags.writeable
+        assert not a.keys.guide.flags.writeable
 
     @pytest.mark.parametrize("n", [8, 64])
     def test_key_table_bisects_like_the_doubles(self, n):
@@ -319,7 +361,7 @@ class TestJumpEngine:
         # code 0, off the interior, absorbs: every draw stays put (the
         # loop below also runs code 0, at the ends of each side)
         u53 = np.arange(0, 2**53, 2**45 - 1, dtype=np.uint64)
-        assert not t.offs[t.keys.searchsorted(u53, side="right")].any()
+        assert not t.offs[t.keys.bisect(u53)].any()
         for c in range(len(t.laws)):
             offs, cum, _ = t.laws[c]
             edge = np.ceil(np.asarray(cum) * 2.0**51).astype(np.int64)
@@ -327,11 +369,18 @@ class TestJumpEngine:
                 [edge - 1, edge, edge + 1, [0, 2**51 - 1]]), 0, 2**51 - 1))
             for side in range(4):
                 u53 = (np.uint64(side << 51) + m.astype(np.uint64))
-                got = t.offs[t.keys.searchsorted(np.uint64(c << 53) | u53,
-                                                 side="right")]
+                got = t.offs[t.keys.bisect(np.uint64(c << 53) | u53)]
                 u = 4.0 * (u53.astype(np.float64) * 2.0**-53)
                 want = [offs[int(v)][bisect_right(cum, v - int(v))] for v in u]
                 assert np.array_equal(got, want)
+        # the guide's lookup is numpy's bisection, at and next to every key
+        # and every bucket start
+        k = t.keys
+        edges = np.concatenate([k.keys, np.arange(k.guide.size,
+                                                  dtype=np.uint64) << k.shift])
+        v = np.concatenate([edges - np.uint64(1), edges, edges + np.uint64(1)])
+        v = v[v < np.uint64(len(t.laws) << 53)]
+        assert np.array_equal(k.bisect(v), k.keys.searchsorted(v, side="right"))
 
     def test_mean_exit_steps_vs_solver(self):
         # E_0[T] = sum_w G(0, w)
@@ -382,7 +431,7 @@ class TestConfig:
             WalkRunConfig(trials=0, seed=1)
 
     def test_trials_over_physical_memory(self):
-        # 10^12 trials at about 234 bytes each need about 213 TiB; the
+        # 10^12 trials at about 207 bytes each need about 188 TiB; the
         # config must refuse before any walk state is allocated
         tracemalloc.start()
         try:
