@@ -33,14 +33,15 @@ from .errors import DomainError
 # Distance below which a point counts as sitting on the tip singularity.
 TIP_GUARD = 1e-9
 
-# Bytes per cell of the (4n + 3)^2 grid that a build and what follows it,
-# a Green's solve or a rate point, may take at their peak.  At large n,
-# where the guard can trigger (about n = 1 410 with 8 GiB), tracemalloc
-# peaks near 98 at alpha = 0, the largest domain, so 270 leaves room for
-# what a peak does not see: first-touch pages and freed memory kept for
-# reuse.  At small n fixed costs exceed it, but there the guard never
-# triggers.  The measurements are in CHANGES.md.
-_BYTES_PER_CELL = 270
+# Bytes per cell of a lattice domain's box (see ``_box``) that a build and
+# what follows it, a Green's solve or a rate point, may take at their peak.
+# At n = 256 and 512, tracemalloc peaks at 94 to 99 per box cell and peak
+# RSS grows by 90 to 106, at alpha = 0, pi/2 and pi alike; 240 leaves room
+# for what a peak does not see: first-touch pages and freed memory kept
+# for reuse.  With 8 GiB the guard triggers at n = 1 496 at alpha = 0 and
+# at n = 2 115 at alpha = pi.  At small n fixed costs exceed it, but there
+# the guard never triggers.  The measurements are in CHANGES.md.
+_BYTES_PER_CELL = 240
 
 
 def _keep_freed_memory(libc) -> None:
@@ -286,11 +287,13 @@ class LatticeDomain:
     so that solver iterations are reproducible.  Boundary sites are the
     non-interior lattice points one step from an interior point.
 
-    ``grid`` is the site grid: the w-frame square of stride^2 cells
-    centred on the tip, flattened with y as its rows.  Its cell holds the
-    index i of an interior site (0 <= i < M), M + j for boundary site j,
-    or -1; ``flat`` and ``unflat`` convert between z-frame sites and
-    cells, and ``interior_mask`` is its interior in two dimensions.
+    ``grid`` is the site grid: a box of the w-frame, the interior's
+    bounding box and a one-cell margin, of ``height`` rows y and ``width``
+    columns x from its corner cell (wx, wy) = ``corner``, flattened with y
+    as its rows.  Its cell holds the index i of an interior site
+    (0 <= i < M), M + j for boundary site j, or -1; ``flat`` and
+    ``unflat`` convert between z-frame sites and cells, and
+    ``interior_mask`` is its interior in two dimensions.
     """
 
     geometry: PacmanGeometry
@@ -298,7 +301,9 @@ class LatticeDomain:
     boundary: np.ndarray        # (B, 2) int64
     boundary_arc: np.ndarray    # (B,) int64 in 1..N
     grid: np.ndarray = field(repr=False)    # flat int64 site grid
-    stride: int = field(repr=False)
+    corner: tuple[int, int] = field(repr=False)
+    width: int = field(repr=False)
+    height: int = field(repr=False)
 
     @property
     def interior_count(self) -> int:
@@ -310,26 +315,26 @@ class LatticeDomain:
 
     @property
     def interior_mask(self) -> np.ndarray:
-        """Bool mask of the interior, [wy + c, wx + c] with c = stride // 2."""
+        """Bool mask of the interior, [wy - corner y, wx - corner x]."""
         # -1 off the domain reads as 2^64 - 1, so one comparison finds them
         M = self.interior_count
-        return (self.grid.view(np.uint64) < M).reshape(-1, self.stride)
+        return (self.grid.view(np.uint64) < M).reshape(self.height, self.width)
 
     @property
     def _origin(self) -> tuple[int, int]:
-        """(column, row) of z = 0: the tip w = 0 is the centre cell."""
-        c, (x0, y0) = self.stride // 2, self.geometry.z0
-        return c + x0, c + y0
+        """(column, row) of z = 0, which is w = z0."""
+        (x0, y0), (cx, cy) = self.geometry.z0, self.corner
+        return x0 - cx, y0 - cy
 
     def flat(self, points):
         """Cell index of z-frame sites on the grid (last axis x, y)."""
         p = np.asarray(points)
         ox, oy = self._origin
-        return (p[..., 1] + oy) * self.stride + p[..., 0] + ox
+        return (p[..., 1] + oy) * self.width + p[..., 0] + ox
 
     def unflat(self, cells):
         """z-frame sites of cell indices, as int64 (..., 2)."""
-        y, x = np.divmod(np.asarray(cells), self.stride)
+        y, x = np.divmod(np.asarray(cells), self.width)
         ox, oy = self._origin
         return np.stack([x - ox, y - oy], axis=-1)
 
@@ -337,9 +342,9 @@ class LatticeDomain:
         x, y = lattice_site(z)
         ox, oy = self._origin
         x, y = x + ox, y + oy
-        if not (0 <= x < self.stride and 0 <= y < self.stride):
+        if not (0 <= x < self.width and 0 <= y < self.height):
             return -1
-        return int(self.grid[y * self.stride + x])
+        return int(self.grid[y * self.width + x])
 
     def interior_index(self, z) -> int:
         """Dense index of an interior site, or -1 for another lattice site."""
@@ -365,9 +370,10 @@ class LatticeDomain:
         return i - self.interior_count if i >= self.interior_count else -1
 
 
-def _from_mask(g: PacmanGeometry, interior: np.ndarray) -> LatticeDomain:
-    """Lattice domain from a square w-frame interior mask centred on the
-    tip, indexed [wy + off, wx + off] with off = its side // 2.
+def _from_mask(g: PacmanGeometry, interior: np.ndarray,
+               corner: tuple[int, int]) -> LatticeDomain:
+    """Lattice domain from a w-frame interior mask indexed
+    [wy - corner y, wx - corner x].
 
     The mask must leave a one-cell margin so every boundary site lands on
     the grid.  Boundary sites are the non-interior 4-neighbours of interior
@@ -380,56 +386,74 @@ def _from_mask(g: PacmanGeometry, interior: np.ndarray) -> LatticeDomain:
     near[:, 1:] |= interior[:, :-1]
     near[:, :-1] |= interior[:, 1:]
     boundary = near & ~interior
-    side = len(interior)
-    off = side // 2
+    height, width = interior.shape
+    cx, cy = corner
     grid = np.full(interior.size, -1, dtype=np.int64)
 
     def sites(mask, first):
         cells = np.flatnonzero(mask)
         grid[cells] = first + np.arange(cells.size)
-        y, x = np.divmod(cells, side)
-        return np.stack([x - (off + g.z0[0]), y - (off + g.z0[1])], axis=1), x, y
+        y, x = np.divmod(cells, width)
+        return np.stack([x + (cx - g.z0[0]), y + (cy - g.z0[1])], axis=1), x, y
 
     int_coords, _, _ = sites(interior, 0)
     bnd_coords, bx, by = sites(boundary, len(int_coords))
-    arcs = arc_index_of_radius(g, np.hypot(bx - off, by - off))
+    arcs = arc_index_of_radius(g, np.hypot(bx + cx, by + cy))
     return LatticeDomain(geometry=g, interior=int_coords, boundary=bnd_coords,
-                         boundary_arc=arcs, grid=grid, stride=side)
+                         boundary_arc=arcs, grid=grid, corner=corner,
+                         width=width, height=height)
 
 
 def lattice_domain_from_sites(g: PacmanGeometry, interior_sites) -> LatticeDomain:
     """Lattice domain with an explicit interior site set (z-frame points).
 
     Boundary and arc classification follow the same rules as the full
-    discretization.  Intended for small hand-checkable domains; the
-    geometry supplies the coordinate frame and arc metadata.  Raises
-    DomainError, before allocating, when the mask around the sites would
-    exceed the machine's physical memory at _BYTES_PER_CELL per cell.
+    discretization, and the grid covers the sites' bounding box and a
+    one-cell margin, as ``build_lattice_domain``'s does.  The geometry
+    supplies the coordinate frame and arc metadata.  Raises DomainError,
+    before allocating, when the box would exceed the machine's physical
+    memory at _BYTES_PER_CELL per cell.
     """
-    w = [lattice_site(p) for p in interior_sites]
+    x0, y0 = g.z0
+    w = [(x + x0, y + y0) for x, y in map(lattice_site, interior_sites)]
     if not w:
         raise DomainError("need at least one interior site")
-    x0, y0 = g.z0
-    off = max(max(abs(x + x0), abs(y + y0)) for x, y in w) + 2
-    require_bytes(_BYTES_PER_CELL * (2 * off + 1) ** 2,
+    # the box in Python ints, which no far site overflows
+    wx, wy = zip(*w)
+    corner = min(wx) - 1, min(wy) - 1
+    width, height = max(wx) - corner[0] + 2, max(wy) - corner[1] + 2
+    require_bytes(_BYTES_PER_CELL * width * height,
                   "a lattice around the given sites")
-    w = lattice_coordinates(w) + np.array(g.z0, dtype=np.int64)
-    mask = np.zeros((2 * off + 1, 2 * off + 1), dtype=bool)
-    mask[w[:, 1] + off, w[:, 0] + off] = True
-    return _from_mask(g, mask)
+    # so every coordinate and cell offset of the box, in either frame, is
+    # an int64
+    far = corner[0] + width, corner[1] + height
+    if max(map(abs, corner + far)) >= 2 ** 62:
+        raise DomainError("lattice sites must lie within 2^62 of the tip")
+    w = np.array(w, dtype=np.int64) - np.array(corner, dtype=np.int64)
+    mask = np.zeros((height, width), dtype=bool)
+    mask[w[:, 1], w[:, 0]] = True
+    return _from_mask(g, mask, corner)
 
 
 def require_scale(n) -> int:
     """n as an int; DomainError unless n is an integer >= 8, nan, inf and
     non-numbers included.  n is never made a float, so an integer too
     large for one passes on to require_memory."""
+    return require_integer(n, "n", 8)
+
+
+def require_integer(v, what: str, least: int | None = None) -> int:
+    """v as an int; DomainError unless v is an integer, and at least
+    ``least`` when given: an integer-valued float passes, nan, inf and
+    non-numbers do not."""
     try:
-        ok = n >= 8 and int(n) == n
+        ok = int(v) == v and (least is None or v >= least)
     except (TypeError, ValueError, OverflowError):
         ok = False
     if not ok:
-        raise DomainError(f"n must be an integer >= 8, got {n}")
-    return int(n)
+        bound = "" if least is None else f" >= {least}"
+        raise DomainError(f"{what} must be an integer{bound}, got {v!r}")
+    return int(v)
 
 
 def require_bytes(need: int, what: str) -> None:
@@ -444,24 +468,48 @@ def require_bytes(need: int, what: str) -> None:
                               f"{have / 2**30:.3g} GiB of physical memory")
 
 
-def require_memory(n: int) -> None:
-    """DomainError when the (4n + 3)^2 grid of scale n, at _BYTES_PER_CELL
-    per cell, would exceed the machine's physical memory."""
-    require_bytes(_BYTES_PER_CELL * (4 * n + 3) ** 2,
+def _box(alpha: float, n: int) -> tuple[tuple[int, int], int, int]:
+    """(corner, width, height) of a w-frame box around every interior site
+    at (alpha, n), with a one-cell margin, from the geometry alone.
+
+    Sites have |wx|, wy <= 2n - 1.  Below the axis the sector reaches
+    wy > -2n when alpha < pi/2, else only wy > -2n sin(alpha), since its
+    lower edge ends at 2n e^{i (2 pi - alpha)}: one row below the axis at
+    alpha = pi.
+    """
+    low = 1 - 2 * n
+    if alpha > math.pi / 2:
+        low = max(low, math.floor(-2 * n * math.sin(alpha)))
+    return (-2 * n, low - 1), 4 * n + 1, 2 * n - low + 2
+
+
+def require_memory(n: int, alpha: float = 0.0) -> None:
+    """DomainError when the box of the domain at (alpha, n), at
+    _BYTES_PER_CELL per cell, would exceed the machine's physical memory.
+    alpha = 0, the default, has the largest box of any angle at n."""
+    _, width, height = _box(alpha, n)
+    require_bytes(_BYTES_PER_CELL * width * height,
                   f"a lattice and a solve at n = {n}")
 
 
 def build_lattice_domain(g: PacmanGeometry) -> LatticeDomain:
     """Enumerate interior and boundary lattice sites of the domain.
 
-    Raises DomainError, before allocating, when the memory a solve on the
-    domain needs would exceed the machine's physical memory.
+    Scans the box ``_box`` gives, with ``sector_mask`` on its rows at or
+    below the axis and the disk test alone above it, and crops the scan
+    to the interior's box and a one-cell margin.  Raises DomainError,
+    before allocating, when the memory a solve on the domain needs would
+    exceed the machine's physical memory.
     """
-    require_memory(g.n)
-    off = 2 * g.n + 1
-    ax = np.arange(-off, off + 1, dtype=np.int64)
-    mask = np.empty((ax.size, ax.size), dtype=bool)      # [wy, wx]
-    lower, upper = ax[:off + 1, None], ax[off + 1:, None]
-    mask[:off + 1] = sector_mask(g, ax, lower)
-    mask[off + 1:] = _inside_disk(g, ax, upper)
-    return _from_mask(g, mask)
+    require_memory(g.n, g.alpha)
+    (x0, y0), width, height = _box(g.alpha, g.n)
+    wx = np.arange(x0, x0 + width, dtype=np.int64)
+    wy = np.arange(y0, y0 + height, dtype=np.int64)[:, None]
+    mask = np.empty((height, width), dtype=bool)        # [wy, wx]
+    k = 1 - y0                                          # the rows wy <= 0
+    mask[:k] = sector_mask(g, wx, wy[:k])
+    mask[k:] = _inside_disk(g, wx, wy[k:])
+    rows = np.flatnonzero(mask.any(axis=1))
+    cols = np.flatnonzero(mask.any(axis=0))
+    mask = mask[rows[0] - 1:rows[-1] + 2, cols[0] - 1:cols[-1] + 2]
+    return _from_mask(g, mask, (x0 + int(cols[0]) - 1, y0 + int(rows[0]) - 1))

@@ -97,12 +97,13 @@ class ExperimentConfig:
         for a in self.alphas:
             if not 0.0 <= a <= math.pi:
                 raise DomainError(f"alpha must lie in [0, pi], got {a}")
-        # and every n, against the memory guard at the largest
+        # and every n, against the memory guard at the largest n and the
+        # smallest alpha, whose box is the largest
         ns = [require_scale(n) for n in self.ns]
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise DomainError("ns must be strictly increasing")
         if ns:
-            require_memory(max(ns))
+            require_memory(max(ns), min(self.alphas))
 
 
 def _rate_point(alpha: float, n: int) -> RatePoint:

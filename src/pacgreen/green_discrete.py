@@ -372,24 +372,21 @@ class _VCycle:
     """
 
     def __init__(self, d: LatticeDomain):
-        inside = d.interior_mask        # [wy + c, wx + c]
-        c = d.stride // 2               # the row and column of w = 0
+        inside = d.interior_mask        # [wy - y0, wx - x0]
+        x0, y0 = d.corner
         count, depth = d.interior_count, 0
         while count > COARSEST_SITES:
             depth += 1
             s = 1 << depth
-            count = np.count_nonzero(inside[c % s::s, c % s::s])
+            count = np.count_nonzero(inside[-y0 % s::s, -x0 % s::s])
         top = 1 << depth
-        # sites come in (y, x) order: the first and last rows are the
-        # interior's lowest and highest
-        z0, x = d.geometry.z0, d.interior[:, 0]
-        xa, xb = x.min() + z0[0], x.max() + z0[0] + 1
-        ya, yb = d.interior[0, 1] + z0[1], d.interior[-1, 1] + z0[1] + 1
-        x0, y0 = xa // top * top, ya // top * top
-        mask = np.zeros((-(-(yb - y0) // top) * top,
-                         -(-(xb - x0) // top) * top), dtype=bool)
-        mask[ya - y0:yb - y0, xa - x0:xb - x0] = inside[ya + c:yb + c,
-                                                        xa + c:xb + c]
+        # the interior's box, inside the grid's one-cell margin, padded out
+        # to multiples of top in w
+        xa, ya = x0 + 1, y0 + 1
+        xb, yb = x0 + d.width - 1, y0 + d.height - 1
+        mask = np.pad(inside[1:-1, 1:-1],
+                      ((ya % top, -yb % top), (xa % top, -xb % top)))
+        x0, y0 = xa - xa % top, ya - ya % top
         grids, diagonal = [_Grid(mask)], ([], [], [])
         for k, t in enumerate(_boundary_distances(mask, depth), 1):
             diagonal = _diagonal(t, k)
@@ -408,7 +405,7 @@ class _VCycle:
         self.inverse = _dense_inverse(c.shape, c.tobytes(), D[c].tobytes())
         # mask rows are y, so the mask's sites come in the domain's order
         self.sites = self.top.sites
-        bx, by = (d.boundary + np.asarray(z0)).T
+        bx, by = (d.boundary + np.asarray(d.geometry.z0)).T
         self.boundary = self.top.cells(by - y0, bx - x0)
         self.q = np.zeros(self.top.size)
         self.Ax = np.zeros(self.top.size)

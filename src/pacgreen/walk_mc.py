@@ -39,7 +39,7 @@ from functools import lru_cache
 import numpy as np
 
 from .domain import (ArcMeasure, LatticeDomain, arc_index_of_radius,
-                     require_bytes)
+                     require_bytes, require_integer)
 from .errors import DomainError, StepBudgetError
 
 _MASK64 = (1 << 64) - 1
@@ -55,16 +55,20 @@ _BYTES_PER_TRIAL = 207
 
 @dataclass(frozen=True)
 class WalkRunConfig:
-    """Trial count and stream seed.  DomainError, before anything is
-    allocated, for a count whose walk state would not fit in memory."""
+    """Trial count and stream seed, kept as ints.  DomainError, before
+    anything is allocated, for a count or seed that is not an integer
+    (``require_integer``), a count below 1, or a count whose walk state
+    would not fit in memory."""
 
     trials: int
     seed: int
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise DomainError("trials must be positive")
-        require_bytes(_BYTES_PER_TRIAL * int(self.trials),
+        # frozen: the checked ints replace what was given
+        object.__setattr__(self, "trials",
+                           require_integer(self.trials, "trials", 1))
+        object.__setattr__(self, "seed", require_integer(self.seed, "seed"))
+        require_bytes(_BYTES_PER_TRIAL * self.trials,
                       f"a walk of {self.trials} trials")
 
 
@@ -163,7 +167,7 @@ def _budget(n: int) -> int:
 
 def _simulate(d: LatticeDomain, start, count_site, rng, max_steps):
     inside = d.interior_mask.ravel()
-    steps = np.array([1, -1, d.stride, -d.stride], dtype=np.int64)
+    steps = np.array([1, -1, d.width, -d.width], dtype=np.int64)
     p, q = int(d.flat(start)), int(d.flat(count_site))
     visits = 1 if p == q else 0
     done = 0
@@ -277,7 +281,7 @@ def _jump_tables(d: LatticeDomain) -> _Jumps:
     cached = getattr(d, "_jump_cache", None)
     if cached is not None:
         return cached
-    W = d.stride
+    W = d.width
     E = d.interior_mask
     code = E.astype(np.uint8)
     r = 0
@@ -403,7 +407,7 @@ def _run_trials(d: LatticeDomain, start, count_site, cfg: WalkRunConfig,
     a multiple of L.
     """
     t = _jump_tables(d)
-    W = d.stride
+    W = d.width
     q = -1 if count_site is None else int(d.flat(count_site))
     qy, qx = divmod(q, W)
     if q >= 0:

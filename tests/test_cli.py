@@ -133,7 +133,7 @@ class TestFieldCommand:
             assert float(G) == pytest.approx(F.value_at((int(x), int(y))), abs=1e-12)
 
     def test_lattice_over_physical_memory(self, tmp_path):
-        # (4n + 3)^2 cells at n = 10^6 need about 4.3 PB; the guard must
+        # (4n + 1)^2 box cells at n = 10^6 need about 3.8 PB; the guard must
         # refuse before any grid is allocated
         out = tmp_path / "f.csv"
         tracemalloc.start()

@@ -16,10 +16,10 @@ from pacgreen import (DomainError, arc_index, bm_arc_measure, build_geometry,
                       build_lattice_domain, c_alpha, contains, green_pacman,
                       green_solve, lattice_domain_from_sites, nearest_boundary,
                       potential_asymptotic, potential_exact)
-from pacgreen.domain import (_BYTES_PER_CELL, _keep_freed_memory, arc_edges,
-                             arc_index_of_radius, lattice_coordinates,
-                             lattice_site, point_xy, require_memory,
-                             require_scale, sector_mask)
+from pacgreen.domain import (_BYTES_PER_CELL, _box, _keep_freed_memory,
+                             arc_edges, arc_index_of_radius,
+                             lattice_coordinates, lattice_site, point_xy,
+                             require_memory, require_scale, sector_mask)
 from pacgreen.walk_mc import _jump_tables
 
 PI = math.pi
@@ -222,17 +222,41 @@ class TestLatticeSite:
 
     @pytest.mark.parametrize("far", [10 ** 6, 10 ** 400])
     def test_from_sites_refuses_a_mask_over_memory(self, far):
-        # one site 10^6 from the tip asks for a 3.64 TiB mask, and 10^400
-        # is past int64: both are refused before anything is allocated
+        # two sites far apart span a box of about far^2 cells, 3.64 TiB of
+        # mask at 10^6 and past int64 at 10^400: both are refused before
+        # anything is allocated
         g = build_geometry(PI, 8)
         tracemalloc.start()
         try:
-            with pytest.raises(DomainError):
-                lattice_domain_from_sites(g, [(far, 0)])
+            with pytest.raises(DomainError, match="physical memory"):
+                lattice_domain_from_sites(g, [(0, 0), (far, far)])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
+
+    def test_from_sites_allocates_only_the_box(self):
+        # one site 10^6 from the tip takes a 3 x 3 box
+        g = build_geometry(PI, 8)
+        tracemalloc.start()
+        try:
+            d = lattice_domain_from_sites(g, [(10 ** 6, 0)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        assert (d.width, d.height, d.grid.size) == (3, 3, 9)
+        assert d.interior.tolist() == [[10 ** 6, 0]]
+        assert d.boundary_count == 4
+        assert d.interior_index((10 ** 6, 0)) == 0
+        assert d.interior_index((10 ** 6 + 2, 0)) == -1
+
+    @pytest.mark.parametrize("site", [(2 ** 62, 0), (-2 ** 62, 0),
+                                      (10 ** 400, 0)],
+                             ids=["2^62", "-2^62", "1e400"])
+    def test_from_sites_refuses_a_box_past_int64(self, site):
+        with pytest.raises(DomainError, match="within 2\\^62"):
+            lattice_domain_from_sites(build_geometry(PI, 8), [site])
 
 
 class TestLatticeDomain:
@@ -304,7 +328,7 @@ class TestLatticeDomain:
             a, b = getattr(d, name), getattr(e, name)
             assert a.dtype == b.dtype
             assert np.array_equal(a, b), name
-        assert e.stride == d.stride
+        assert (e.corner, e.width, e.height) == (d.corner, d.width, d.height)
 
 
 def assert_site_grid(d):
@@ -325,8 +349,8 @@ def assert_site_grid(d):
 
 def whole_box_scan(g):
     """The site arrays and grid from sector_mask over the whole (4n + 3)^2
-    box, indexed [wx, wy], listed by argwhere on its transpose; the grid
-    is indexed [wy, wx]."""
+    square, indexed [wx, wy], listed by argwhere on its transpose; the
+    grid is indexed [wy, wx] from the square's corner (-2n - 1, -2n - 1)."""
     off = 2 * g.n + 1
     ax = np.arange(-off, off + 1, dtype=np.int64)
     interior = sector_mask(g, ax[:, None], ax[None, :])
@@ -345,20 +369,35 @@ def whole_box_scan(g):
     bw = sites[1] + np.asarray(g.z0)
     arcs = arc_index_of_radius(g, np.hypot(bw[:, 0], bw[:, 1]))
     return {"interior": sites[0], "boundary": sites[1], "boundary_arc": arcs,
-            "grid": grid.ravel()}
+            "grid": grid}
 
 
 def assert_whole_box_scan(g):
+    """The build's sites are the square scan's, and its grid is the
+    square's grid cropped to the interior's box and a one-cell margin,
+    outside which the square holds no site."""
     d = build_lattice_domain(g)
-    for name, want in whole_box_scan(g).items():
+    want = whole_box_scan(g)
+    off = 2 * g.n + 1
+    (x0, y0), w, h = d.corner, d.width, d.height
+    box = np.s_[y0 + off:y0 + off + h, x0 + off:x0 + off + w]
+    square = want.pop("grid")
+    want["grid"] = square[box].ravel()
+    for name, want in want.items():
         got = getattr(d, name)
         assert (got.dtype, got.shape) == (want.dtype, want.shape), name
         assert got.tobytes() == want.tobytes(), name
+    square[box] = -1
+    assert np.all(square == -1)
+    wi = d.interior + np.asarray(g.z0)
+    assert (x0 + 1, y0 + 1) == tuple(wi.min(axis=0))
+    assert (x0 + w - 2, y0 + h - 2) == tuple(wi.max(axis=0))
 
 
 class TestSiteSet:
-    """The build scans half the box with sector_mask and the other half
-    with the disk test alone; the sites must be the whole box's."""
+    """The build scans the rows of its box at or below the axis with
+    sector_mask and the rest with the disk test alone, and crops to the
+    interior's box; the sites must be the whole square's."""
 
     @pytest.mark.parametrize("n", [8, 23, 40])
     @pytest.mark.parametrize("alpha", [0.0, PI / 4, PI / 2, 3 * PI / 4, PI])
@@ -385,18 +424,21 @@ class TestSiteGrid:
 
 class TestMemoryGuard:
     def test_estimate_bounds_a_solve(self):
-        # alpha = 0 gives the largest domain; the estimate must cover the
-        # build, a Green's solve and the walk engine's level grid
-        g = build_geometry(0.0, 64)
-        tracemalloc.start()
-        try:
-            d = build_lattice_domain(g)
-            green_solve(d, (0, 0))
-            _jump_tables(d)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= _BYTES_PER_CELL * (4 * g.n + 3) ** 2
+        # the guard charges per cell of the box, which is the square at
+        # alpha = 0 and half of it at pi; the estimate must cover the build,
+        # a Green's solve and the walk engine's level grid at both
+        for alpha in (0.0, PI):
+            g = build_geometry(alpha, 64)
+            tracemalloc.start()
+            try:
+                d = build_lattice_domain(g)
+                green_solve(d, (0, 0))
+                _jump_tables(d)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            _, width, height = _box(alpha, g.n)
+            assert peak <= _BYTES_PER_CELL * width * height
 
     # Per cell of the (4n + 3)^2 grid at alpha = 0, n = 64, in a fresh
     # process (the kernel's Gauss rule and table are filled in the window).

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import math
 import os
 import pathlib
@@ -19,7 +20,7 @@ from pacgreen import (ConvergenceError, DomainError, WalkRunConfig,
                       discrete_arc_measure, green_discrete, green_mc,
                       green_solve, green_via_potential,
                       lattice_domain_from_sites)
-from pacgreen.domain import _BYTES_PER_CELL
+from pacgreen.domain import _BYTES_PER_CELL, _box
 from pacgreen.green_discrete import (MAX_ITERATIONS, RESIDUAL_TOLERANCE,
                                      _boundary_distances, _cg, _coupling,
                                      _diagonal, _exit_weights, _gather,
@@ -621,8 +622,9 @@ class TestGreenViaPotential:
     @pytest.mark.parametrize("alpha", [0.0, PI])
     @pytest.mark.parametrize("n", [32, 64])
     def test_memory_within_guard(self, alpha, n):
-        # the lattice build's memory guard budgets _BYTES_PER_CELL per grid
-        # cell; the representation, kernel included, stays inside it
+        # the lattice build's memory guard budgets _BYTES_PER_CELL per cell
+        # of the box it charges; the representation, kernel included, stays
+        # inside it
         d = build_lattice_domain(build_geometry(alpha, n))
         tracemalloc.start()
         try:
@@ -630,7 +632,8 @@ class TestGreenViaPotential:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= _BYTES_PER_CELL * (4 * n + 3) ** 2
+        _, width, height = _box(alpha, n)
+        assert peak <= _BYTES_PER_CELL * width * height
 
 
 class TestMonteCarloEquivalence:
@@ -643,3 +646,46 @@ class TestMonteCarloEquivalence:
         exact = green_solve(d, (0, 0)).value_at((0, 0))
         est, se = green_mc(d, (0, 0), WalkRunConfig(trials=20000, seed=101))
         assert abs(est - exact) <= 3 * se
+
+
+class TestPinnedOutputs:
+    """The solver's and the lattice's output bytes at n = 16, as sha256
+    digests recorded before the site grid shrank from the (4n + 3)^2
+    square to the interior's box.  A layout change must move no bit."""
+
+    # alpha: (interior, boundary, boundary_arc, green_solve,
+    # green_via_potential, discrete_arc_measure), source and start (0, 0)
+    DIGESTS = {
+        0.0: (
+            "5e3a6c73e4712bebb4a142aea7984fd07cdf73405709e6adaf05c5f63d2cb880",
+            "b18e5b3ba4b5d92ff4aa245b08bc13888c2cedbfab9ca5a037fac8c8efb96a9a",
+            "a2daa779a2275c14d50f2e42cfd549cd4992d6b77358fb50db26d1e5ce675485",
+            "f90c97a9c1e97572a4497cd1d1d923e559c4d2a1721472ecde0a7631c6e0c7fa",
+            "936954bd07f07b5ea118cb8aa0b21637468c880e8a9116e0d2a2dd87eca0729a",
+            "7958bbda0b8bc7de9d957819540c0ce820632ea509b03b864485fd3794875b1b"),
+        PI / 2: (
+            "2c0e6de82649f6704318b34512fb57e68d9ff02832de25a30333d8cbd813bd3b",
+            "fed39df402ab778ab323a9b612e38df3ebead964de8071e75bf8e26a8b855cab",
+            "717054f85d1956ff190619c7e24a6bb3abab4549e04055a5d50b11b7c0076e8e",
+            "50dae7a2d2b33b7ad4c7bc749832a8b4c32c700bb84b425afb3d44aef14cbf6b",
+            "2181d63392cc5a754df4d3d50cd5435e4b18af978bd6c0912d84b87835abc089",
+            "36e0669c216cffe44cef0a14fc90e3fbc6665a5eceed50519ff2652274d8e2dc"),
+        PI: (
+            "07bbb7ee981cd4c8318b1478b1ba91138f199c20a9acc97cf124841bbed894e3",
+            "7bc795f5f9d235ca8e9355a13c61bcf2169b8644bf4fbacd9f6de7c531bcbf3e",
+            "38ae63c30a88c24c6010de2b0493ecaa9e2c13d7c534aa89598e935637f79b51",
+            "684f44f43aac4630317616dc51210dbd5a60032d5f895ba82756f771059bb33c",
+            "5c9103b3000a61c85aab2ff499bff55a8b8c8571daf44e5483f73101dc12a452",
+            "c65fced97dd51967beb944144bbb9d51cc90fb0d653c0534978a061688e0dd23"),
+    }
+
+    @pytest.mark.parametrize("alpha", sorted(DIGESTS))
+    def test_bytes_are_pinned(self, alpha):
+        d = build_lattice_domain(build_geometry(alpha, 16))
+        outputs = (d.interior, d.boundary, d.boundary_arc,
+                   green_solve(d, (0, 0)).values,
+                   green_via_potential(d, (0, 0)).values,
+                   discrete_arc_measure(d, (0, 0)).probabilities)
+        digests = tuple(hashlib.sha256(a.tobytes()).hexdigest()
+                        for a in outputs)
+        assert digests == self.DIGESTS[alpha]

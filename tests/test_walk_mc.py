@@ -66,7 +66,7 @@ def jump_defect(d):
 def replay(d, start, count_site, seed, trials):
     """The walk on squares trial by trial, each from its own ``trial_rng``
     stream, on the engine's tables: the reference ``_run_trials`` equals."""
-    t, W = _jump_tables(d), d.stride
+    t, W = _jump_tables(d), d.width
     levels, laws = t.levels, t.laws
     q = None if count_site is None else int(d.flat(count_site))
     rows = []
@@ -429,6 +429,25 @@ class TestConfig:
     def test_trials_positive(self):
         with pytest.raises(DomainError):
             WalkRunConfig(trials=0, seed=1)
+
+    @pytest.mark.parametrize("trials, seed", [
+        (2.5, 1), (10, 1.5), (math.nan, 1), (math.inf, 1), ("10", 1),
+        (10, "1"), (10, None), (1j, 1)])
+    def test_non_integers_refused(self, trials, seed):
+        # refused before numpy sees them: a float count failed in np.empty,
+        # a float seed at seed & _MASK64
+        with pytest.raises(DomainError, match="must be an integer"):
+            WalkRunConfig(trials, seed)
+
+    def test_integer_valued_inputs_are_ints(self, pacman16):
+        cfg = WalkRunConfig(np.int64(10), 7.0)
+        assert (cfg.trials, cfg.seed) == (10, 7)
+        assert type(cfg.trials) is int and type(cfg.seed) is int
+        # the same run as from ints
+        cfg = WalkRunConfig(10.0, np.uint64(7))
+        assert np.array_equal(sample_exits(pacman16, (0, 0), cfg),
+                              sample_exits(pacman16, (0, 0),
+                                           WalkRunConfig(10, 7)))
 
     def test_trials_over_physical_memory(self):
         # 10^12 trials at about 207 bytes each need about 188 TiB; the
