@@ -1,10 +1,11 @@
 """Command-line front end: parsing, dispatch, CSV and SVG emission.
 
 Subcommands: potential, field, arcs, rate, expdiff.  Each but potential
-returns its outputs, all computed before any file is written; ``dispatch``
-writes them atomically (temp file + rename) under the umask, then a JSON
-manifest recording parsed parameters, seed, version, timestamps, and a
-sha256 digest per output file.  A failed run leaves none of its outputs.
+returns its outputs as (path, text) pairs, all computed before any file
+is written; ``dispatch`` refuses two that name one file, writes them
+atomically (temp file + rename) under the umask, then a JSON manifest
+recording parsed parameters, seed, version, timestamps, and a sha256
+digest per output file.  A failed run leaves none of its outputs.
 Numeric CSV cells use 17 significant digits so values round-trip exactly.
 """
 
@@ -92,9 +93,14 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _write_outputs(args, outputs: dict, started_at: str) -> None:
-    """Write each output, then ``<out>.manifest.json`` listing them.  If a
-    write fails, remove the outputs this run has already written."""
+def _write_outputs(args, outputs: list, started_at: str) -> None:
+    """Write each (path, text) output, then ``<out>.manifest.json`` listing
+    them; DomainError first if two of these name one file.  If a write
+    fails, remove the outputs this run has already written."""
+    paths = [path for path, _ in outputs] + [args.out + ".manifest.json"]
+    if len({os.path.realpath(path) for path in paths}) < len(paths):
+        raise DomainError(f"two of the outputs {', '.join(paths)} are the "
+                          f"same file")
     # every parsed option but the output paths and the fields of their own
     params = {k: v for k, v in vars(args).items()
               if k not in ("subcommand", "out", "plot", "seed") and v is not None}
@@ -102,12 +108,12 @@ def _write_outputs(args, outputs: dict, started_at: str) -> None:
                            __version__, started_at)
     written = []
     try:
-        for path, text in outputs.items():
+        for path, text in outputs:
             atomic_write_text(path, text)
             written.append(path)
             manifest.add_output(path)
         manifest.finished_at = _now()
-        atomic_write_text(args.out + ".manifest.json",
+        atomic_write_text(paths[-1],
                           json.dumps(asdict(manifest), indent=2) + "\n")
     except BaseException:
         for path in written:
@@ -177,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _cmd_potential(args) -> dict:
+def _cmd_potential(args) -> list:
     exact = potential_exact((args.x, args.y))
     if args.x == 0 and args.y == 0:
         asym, diff = float("nan"), float("nan")
@@ -186,10 +192,10 @@ def _cmd_potential(args) -> dict:
         diff = exact - asym
     sys.stdout.write(_csv(["x", "y", "exact", "asymptotic", "difference"],
                           [(args.x, args.y, exact, asym, diff)]))
-    return {}
+    return []
 
 
-def _cmd_field(args) -> dict:
+def _cmd_field(args) -> list:
     g = build_geometry(args.alpha, args.n)
     if not contains(g, args.source):
         raise DomainError(f"source {args.source} is not interior")
@@ -206,10 +212,10 @@ def _cmd_field(args) -> dict:
             diff = abs(Gv - (2 / math.pi) * gval) if np.isfinite(gval) else float("nan")
             cells = (float(gval), diff)
         rows.append((int(x), int(y), float(Gv), *cells))
-    return {args.out: _csv(["x", "y", "G", "g", "diff"], rows)}
+    return [(args.out, _csv(["x", "y", "G", "g", "diff"], rows))]
 
 
-def _cmd_arcs(args) -> dict:
+def _cmd_arcs(args) -> list:
     walk = args.mode == "walk"
     if walk and (args.trials is None or args.seed is None):
         raise DomainError("--trials and --seed are required with --mode walk")
@@ -221,15 +227,15 @@ def _cmd_arcs(args) -> dict:
     if not walk:
         m = bm_arc_measure(g, args.start)
         rows = [(k + 1, float(p)) for k, p in enumerate(m.probabilities)]
-        return {args.out: _csv(["k", "measure"], rows)}
+        return [(args.out, _csv(["k", "measure"], rows))]
     cfg = WalkRunConfig(args.trials, args.seed)
     m = walk_arc_measure(build_lattice_domain(g), args.start, cfg)
     rows = [(k + 1, float(p), float(se))
             for k, (p, se) in enumerate(zip(m.probabilities, m.stderr))]
-    return {args.out: _csv(["k", "p", "stderr"], rows)}
+    return [(args.out, _csv(["k", "p", "stderr"], rows))]
 
 
-def _cmd_rate(args) -> dict:
+def _cmd_rate(args) -> list:
     if len(args.ns) < 3:
         raise DomainError("--ns needs at least 3 scales for the fit")
     results = rate_sweep(ExperimentConfig(alphas=args.alphas, ns=args.ns))
@@ -238,27 +244,27 @@ def _cmd_rate(args) -> dict:
     srows = [(r.alpha, r.slope, r.intercept, r.r_squared, r.c_alpha)
              for r in results]
     stem, ext = os.path.splitext(args.out)
-    outputs = {
-        args.out: _csv(["alpha", "n", "sup_error", "mean_error",
-                        "region_min_radius"], rows),
-        stem + "_summary" + (ext or ".csv"): _csv(
-            ["alpha", "slope", "intercept", "r2", "c_alpha"], srows)}
+    outputs = [
+        (args.out, _csv(["alpha", "n", "sup_error", "mean_error",
+                         "region_min_radius"], rows)),
+        (stem + "_summary" + (ext or ".csv"), _csv(
+            ["alpha", "slope", "intercept", "r2", "c_alpha"], srows))]
     if args.plot:
-        outputs[args.plot] = render_rate_plot(
+        outputs.append((args.plot, render_rate_plot(
             [(res.alpha, res.c_alpha,
               [(1.0 / p.n, p.corrected_sup_error) for p in res.points])
-             for res in results])
+             for res in results])))
     return outputs
 
 
-def _cmd_expdiff(args) -> dict:
+def _cmd_expdiff(args) -> list:
     g = build_geometry(args.alpha, args.n)
     est, se = expdiff_estimate(g, args.x, args.y,
                                WalkRunConfig(args.trials, args.seed))
     _, k0 = nearest_boundary(g, args.x)
     scale = prop_bound_scale(g, k0)
-    return {args.out: _csv(["estimate", "stderr", "bound_scale"],
-                           [(est, se, scale)])}
+    return [(args.out, _csv(["estimate", "stderr", "bound_scale"],
+                            [(est, se, scale)]))]
 
 
 # ---------------------------------------------------------------------------

@@ -111,12 +111,10 @@ class PacmanGeometry:
 
 def build_geometry(alpha: float, n: int) -> PacmanGeometry:
     """Construct the geometry for wedge angle alpha and scale n."""
-    if not (0.0 <= alpha <= math.pi):
-        raise DomainError(f"alpha must lie in [0, pi], got {alpha}")
-    n = require_scale(n)
+    alpha, n = require_angle(alpha), require_scale(n)
     z0 = _closest_lattice_point(n * np.exp(1j * (math.pi - alpha / 2.0)))
     N = math.ceil(2 * n / math.log(n) ** 2)
-    return PacmanGeometry(alpha=float(alpha), n=n, z0=z0,
+    return PacmanGeometry(alpha=alpha, n=n, z0=z0,
                           c_alpha=c_alpha(alpha), N=N, radius=2.0 * n)
 
 
@@ -433,6 +431,15 @@ def lattice_domain_from_sites(g: PacmanGeometry, interior_sites) -> LatticeDomai
     mask = np.zeros((height, width), dtype=bool)
     mask[w[:, 1], w[:, 0]] = True
     return _from_mask(g, mask, corner)
+
+
+def require_angle(alpha) -> float:
+    """alpha as a float; DomainError unless alpha is a real number in
+    [0, pi]: nan, strings, None and complex numbers are refused."""
+    if not (isinstance(alpha, numbers.Real) and 0.0 <= alpha <= math.pi):
+        raise DomainError(f"alpha must be a real number in [0, pi], "
+                          f"got {alpha!r}")
+    return float(alpha)
 
 
 def require_scale(n) -> int:

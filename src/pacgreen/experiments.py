@@ -27,7 +27,8 @@ import numpy as np
 
 from .domain import (PacmanGeometry, _as_complex, arc_edges, build_geometry,
                      build_lattice_domain, c_alpha, contains, lattice_site,
-                     nearest_boundary, require_memory, require_scale)
+                     nearest_boundary, require_angle, require_memory,
+                     require_scale)
 from .errors import DomainError, FitError
 from .green_continuous import bm_arc_measure, green_pacman_many
 from .green_discrete import _dot, green_solve
@@ -92,18 +93,15 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.alphas:
             raise DomainError("need at least one alpha")
-        # every angle is checked here, so a bad one fails before any solve;
-        # the comparisons are false for nan
-        for a in self.alphas:
-            if not 0.0 <= a <= math.pi:
-                raise DomainError(f"alpha must lie in [0, pi], got {a}")
+        # every angle is checked here, so a bad one fails before any solve
+        alphas = [require_angle(a) for a in self.alphas]
         # and every n, against the memory guard at the largest n and the
         # smallest alpha, whose box is the largest
         ns = [require_scale(n) for n in self.ns]
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise DomainError("ns must be strictly increasing")
         if ns:
-            require_memory(max(ns), min(self.alphas))
+            require_memory(max(ns), min(alphas))
 
 
 def _rate_point(alpha: float, n: int) -> RatePoint:

@@ -14,19 +14,21 @@ counts and exit times are Rao-Blackwellized: each sojourn adds its
 expectation, G_box(centre, w) or sum(G_box), in place of its realisation.
 
 All trials of a run jump in lockstep, one round per jump, so a round
-costs a few numpy calls however many trials it moves.  Uniform j
-of trial i is word j mod 4 of the Philox4x64-10 block (Salmon et al.,
+costs a few numpy calls however many trials it moves.  Uniform j of
+trial i is word j mod 4 of the Philox4x64-10 block (Salmon et al.,
 SC'11) with key (seed, i) and counter j // 4 + 1, so one numpy evaluation
 of the block function fills the draws of every trial still inside for
 the next rounds, as many as have already run when they fit, and each
-trial draws bit for bit the doubles
-``trial_rng(seed, i).random()`` gives.  The side and site of a jump are
-read off the draw's integer bits through one key table for all levels.
-Cells off the interior have a level of their own whose every jump stays
-put, so a trial that exits waits in place, adding nothing, until the
-draw buffer next refills; only then are exited trials collected.  A run
-adds up only the sums its front end returns.  ``simulate_exit`` keeps
-the stepwise walk as the reference.
+trial draws bit for bit the doubles ``trial_rng(seed, i).random()``
+gives.  The side and site of a jump are read off the draw's integer bits
+through one key table, shared, like every table that depends only on the
+count of level codes; a domain keeps its level grid and flat offsets,
+and a ``green_mc`` run a grid of visit terms.  Cells off the interior
+have a level of their own whose every jump stays put, so a trial that
+exits waits in place, adding nothing, until the draw buffer next
+refills; only then are exited trials collected.  A run adds up only the
+sums its front end returns.  ``simulate_exit`` keeps the stepwise walk
+as the reference.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import numpy as np
 
 from .domain import (ArcMeasure, LatticeDomain, arc_index_of_radius,
                      require_bytes, require_integer)
-from .errors import DomainError, StepBudgetError
+from .errors import StepBudgetError
 
 _MASK64 = (1 << 64) - 1
 _CHUNK0 = 1024
@@ -165,11 +167,16 @@ def _budget(n: int) -> int:
     return 100 * (2 * n) ** 2
 
 
-def _simulate(d: LatticeDomain, start, count_site, rng, max_steps):
+def simulate_exit(d: LatticeDomain, start, rng: np.random.Generator):
+    """Run one walk from an interior site until it leaves the interior.
+
+    Returns (exit site, visits to start including time 0, step count).
+    """
     inside = d.interior_mask.ravel()
     steps = np.array([1, -1, d.width, -d.width], dtype=np.int64)
-    p, q = int(d.flat(start)), int(d.flat(count_site))
-    visits = 1 if p == q else 0
+    p = q = int(d.flat(d.interior_site(start)))
+    max_steps = _budget(d.geometry.n)
+    visits = 1
     done = 0
     chunk = _CHUNK0
     while done < max_steps:
@@ -189,15 +196,6 @@ def _simulate(d: LatticeDomain, start, count_site, rng, max_steps):
         chunk = min(chunk * 2, _CHUNK_MAX)
     raise StepBudgetError(
         f"walk did not exit within {max_steps} steps (configuration bug)")
-
-
-def simulate_exit(d: LatticeDomain, start, rng: np.random.Generator):
-    """Run one walk from an interior site until it leaves the interior.
-
-    Returns (exit site, visits to start including time 0, step count).
-    """
-    start = d.interior_site(start)
-    return _simulate(d, start, start, rng, _budget(d.geometry.n))
 
 
 @lru_cache(maxsize=None)
@@ -253,60 +251,6 @@ def _square_radius(code: int) -> int:
     return 0 if code == 1 else 1 << (code - 2)
 
 
-@dataclass(frozen=True)
-class _Jumps:
-    """Jump tables of a domain (see ``_jump_tables``)."""
-
-    levels: np.ndarray      # uint8 level code per cell, 0 off the interior
-    laws: list              # per code: (offsets [side, site], cum, mean time)
-    keys: _Keys             # ``_key_table(len(laws))``, shared
-    offs: np.ndarray        # int64 flat offset per key
-    mean_time: np.ndarray   # per code
-
-
-def _jump_tables(d: LatticeDomain) -> _Jumps:
-    """Level grid and per-level jump laws of a domain, cached on it.
-
-    The level grid is indexed like ``interior_mask``: 0 off the interior,
-    and 1 + l at a site whose largest interior square has radius r with
-    2^(l - 1) <= r < 2^l (l = 0 for r = 0).  It comes from doubling
-    erosions, E_1 = erode(E_0, 1) and E_2r = erode(E_r, r).  Level code c
-    jumps with square radius r = ``_square_radius(c)`` to site t = -r .. r
-    of side s: the step (r + 1, t) turned by s quarter turns, so sides
-    0 .. 3 are the walls x+, y+, x-, y- and one law serves all four.
-    Code 0 absorbs: one site a side, at offset 0, and mean time 0.
-    ``offs`` lists every (code, side)'s flat offsets in the order of
-    ``_key_table``.
-    """
-    cached = getattr(d, "_jump_cache", None)
-    if cached is not None:
-        return cached
-    W = d.width
-    E = d.interior_mask
-    code = E.astype(np.uint8)
-    r = 0
-    while True:
-        step = max(r, 1)
-        E = _erode(E, step)
-        if not E.any():
-            break
-        r += step
-        code += E
-    laws = [(np.zeros((4, 1), dtype=np.int64), np.empty(0), 0.0)]
-    for c in range(1, int(code.max()) + 1):
-        r = _square_radius(c)
-        cum, mean_time, _ = _square_law(r)
-        t = np.arange(-r, r + 1)
-        a = r + 1
-        offs = np.stack([a + t * W, a * W - t, -a - t * W, t - a * W])
-        laws.append((offs, cum, mean_time))
-    d._jump_cache = _Jumps(
-        levels=code.ravel(), laws=laws, keys=_key_table(len(laws)),
-        offs=np.concatenate([law[0].ravel() for law in laws]),
-        mean_time=np.array([law[2] for law in laws]))
-    return d._jump_cache
-
-
 # The key guide has at most 2^_GUIDE_BITS buckets per (code, side).  One
 # key a bucket takes about 2 log2 of the largest square radius bits: 10 at
 # n = 64, 12 at n = 128.  Past that the cap holds the guide to 128 KiB per
@@ -315,34 +259,43 @@ _GUIDE_BITS = 12
 
 
 @dataclass(frozen=True)
-class _Keys:
-    """Sorted bisection keys and a guide that bisects them in O(1) numpy
-    calls per round (see ``_key_table``)."""
+class _Laws:
+    """Read-only jump laws of level codes 0 .. codes - 1 (see ``_laws``)."""
 
-    keys: np.ndarray        # sorted uint64, read-only
+    keys: np.ndarray        # sorted uint64 bisection keys
     guide: np.ndarray       # bisect_right(keys, bucket start) per bucket
     shift: np.ndarray       # a key's bucket is key >> shift
     passes: int             # most keys inside one bucket
+    dx: np.ndarray          # int64 step (dx, dy) per key
+    dy: np.ndarray
+    mean_time: np.ndarray   # per code
+    radius: np.ndarray      # square radius per code
 
     def bisect(self, v: np.ndarray) -> np.ndarray:
         """``bisect_right(keys, x)`` for each uint64 x in v."""
-        i = self.guide[v >> self.shift]
+        i = self.guide.take(v >> self.shift)
         for _ in range(self.passes):
             i += self.keys[i] <= v
         return i
 
 
 @lru_cache(maxsize=None)
-def _key_table(codes: int) -> _Keys:
-    """Bisection keys of level codes 0 .. codes - 1, built once per count.
+def _laws(codes: int) -> _Laws:
+    """Jump laws of level codes 0 .. codes - 1, built once per count and
+    shared by every domain with that many codes.
 
-    One sorted uint64 table serves every level.  A double u = m 2^-53
+    Code c jumps with square radius r = ``_square_radius(c)`` to site
+    t = -r .. r of side s: the step (r + 1, t) turned by s quarter turns,
+    so sides 0 .. 3 are the walls x+, y+, x-, y- and one law serves all
+    four.  Code 0 absorbs: one site a side, step (0, 0), mean time 0.
+
+    One sorted uint64 key table serves every code.  A double u = m 2^-53
     makes side s = floor(4u) and site ``bisect_right(cum, 4u - s)``; as
     4u - s = (m mod 2^51) 2^-51 exactly, cum_i <= 4u - s iff
     ceil(cum_i 2^51) <= m mod 2^51.  So group g = 4c + s holds the keys
     g 2^51 + ceil(cum_i 2^51), closed by (g + 1) 2^51, and
     ``bisect_right(keys, c 2^53 + m)`` lands on the group's start plus
-    the site.  Code 0 has one site a side, so no cum.
+    the site: the index of its step in (dx, dy).
 
     numpy's bisection costs about 50 ns a draw.  The guide splits each
     group into 2^b equal buckets and holds the bisection at each bucket's
@@ -350,9 +303,16 @@ def _key_table(codes: int) -> _Keys:
     the bucket.  b is the least width that leaves at most one key in a
     bucket, but no more than _GUIDE_BITS.
     """
-    keys = []
-    for c in range(codes):
-        cum = _square_law(_square_radius(c))[0] if c else np.empty(0)
+    radius = np.array([0] + [_square_radius(c) for c in range(1, codes)])
+    mean_time = np.zeros(codes)
+    keys, dx, dy = [], [], []
+    for c, r in enumerate(radius.tolist()):
+        cum, mean_time[c], _ = (_square_law(r) if c
+                                else (np.empty(0), 0.0, None))
+        a = np.full(2 * r + 1, r + 1 if c else 0)
+        t = np.arange(-r, r + 1)
+        dx += [a, -t, -a, t]
+        dy += [t, a, -t, -a]
         site = np.ceil(cum * 2.0 ** 51).astype(np.uint64)
         for g in range(4 * c, 4 * c + 4):
             keys += [np.uint64(g << 51) + site, np.full(1, (g + 1) << 51,
@@ -366,19 +326,67 @@ def _key_table(codes: int) -> _Keys:
     guide = np.repeat(np.arange(keys.size),
                       np.diff(up, prepend=0).astype(np.intp))
     passes = int(np.unique(up, return_counts=True)[1].max())
-    for a in (keys, guide):
-        a.setflags(write=False)
-    return _Keys(keys, guide, shift, passes)
+    laws = _Laws(keys, guide, shift, passes, np.concatenate(dx),
+                 np.concatenate(dy), mean_time, radius)
+    for v in vars(laws).values():
+        if isinstance(v, np.ndarray):
+            v.setflags(write=False)
+    return laws
 
 
-@lru_cache(maxsize=None)
-def _box_greens(codes: int):
-    """(radius, G, start) for level codes 0 .. codes - 1: every code's
-    G_box raveled one after another in G, from index start[c]."""
-    radius = np.array([0] + [_square_radius(c) for c in range(1, codes)])
-    G = [_square_law(r)[2].ravel() for r in radius[1:]]
-    start = np.cumsum([0, 0] + [g.size for g in G[:-1]])
-    return radius, np.concatenate(G), start
+@dataclass(frozen=True)
+class _Jumps:
+    """Jump tables of a domain (see ``_jump_tables``)."""
+
+    levels: np.ndarray      # uint8 level code per cell, 0 off the interior
+    laws: _Laws             # ``_laws(codes)``, shared
+    offs: np.ndarray        # int64 flat offset dx + dy width per key
+
+
+def _jump_tables(d: LatticeDomain) -> _Jumps:
+    """Level grid, shared laws and flat offsets of a domain, cached on it.
+
+    The level grid is indexed like ``interior_mask``: 0 off the interior,
+    and 1 + l at a site whose largest interior square has radius r with
+    2^(l - 1) <= r < 2^l (l = 0 for r = 0).  It comes from doubling
+    erosions, E_1 = erode(E_0, 1) and E_2r = erode(E_r, r).  Code c jumps
+    as ``_laws`` says, by the flat offset dx + dy width.
+    """
+    cached = getattr(d, "_jump_cache", None)
+    if cached is not None:
+        return cached
+    E = d.interior_mask
+    code = E.astype(np.uint8)
+    r = 0
+    while True:
+        step = max(r, 1)
+        E = _erode(E, step)
+        if not E.any():
+            break
+        r += step
+        code += E
+    laws = _laws(int(code.max()) + 1)
+    d._jump_cache = _Jumps(levels=code.ravel(), laws=laws,
+                           offs=laws.dx + laws.dy * d.width)
+    return d._jump_cache
+
+
+def _visit_terms(d: LatticeDomain, t: _Jumps, count_site) -> np.ndarray:
+    """Per cell of the level grid, G_box(cell, count_site) for the cell's
+    own square, 0 unless that holds count_site: nonzero only within the
+    largest square radius R of count_site, an interior site."""
+    qy, qx = divmod(int(d.flat(count_site)), d.width)
+    R = int(t.laws.radius[-1])
+    term = np.zeros((d.height, d.width))
+    box = np.s_[max(qy - R, 0):min(qy + R + 1, d.height),
+                max(qx - R, 0):min(qx + R + 1, d.width)]
+    y, x = np.mgrid[box]
+    y, x = qy - y, qx - x               # count_site from the cell
+    level, near = t.levels.reshape(term.shape)[box], np.maximum(abs(y), abs(x))
+    for c, r in enumerate(t.laws.radius.tolist()[1:], 1):
+        on = (level == c) & (near <= r)
+        term[box][on] = _square_law(r)[2][y[on] + r, x[on] + r]
+    return term.ravel()
 
 
 def _run_trials(d: LatticeDomain, start, count_site, cfg: WalkRunConfig,
@@ -392,13 +400,13 @@ def _run_trials(d: LatticeDomain, start, count_site, cfg: WalkRunConfig,
     stream (cfg.seed, i), the one ``trial_rng(cfg.seed, i).random()``
     gives, so any prefix of trials reproduces exactly under a larger trial
     count.  4u picks side floor(4u) and, by bisection at 4u - side, the
-    site on it, both read off u's integer bits through one key table.
-    Visits to count_site and exit times are Rao-Blackwellized: each jump
-    adds G_box(centre, count_site) and the square's mean exit time, in
-    jump order; only trials on a cell whose square holds count_site add
-    a visit term.  A trial that exits stands still on level code 0 and
-    adds 0.0, so the packed arrays shed the trials that exited only when
-    the draw buffer refills, and the run ends when no trial is inside.
+    site on it, both read off u's integer bits through the shared key
+    table.  Visits to count_site and exit times are Rao-Blackwellized:
+    each jump adds its cell's visit term, looked up in a grid built once
+    per run (``_visit_terms``, 8 bytes a cell), and its square's mean
+    exit time.  A trial that exits stands still on level code 0 and adds
+    0.0, so the packed arrays shed the trials that exited only when the
+    draw buffer refills, and the run ends when no trial is inside.
 
     A refill at round j gives each of the L live trials
     max(ceil(_BATCH / L), min(j // 4, trials // L)) blocks: as many rounds
@@ -407,27 +415,12 @@ def _run_trials(d: LatticeDomain, start, count_site, cfg: WalkRunConfig,
     a multiple of L.
     """
     t = _jump_tables(d)
-    W = d.width
-    q = -1 if count_site is None else int(d.flat(count_site))
-    qy, qx = divmod(q, W)
-    if q >= 0:
-        radius, G, G_at = _box_greens(len(t.laws))
-        # the cells whose square holds count_site: code c within l-infinity
-        # distance radius[c] of it (code 0 has radius 0, and count_site is
-        # interior), all within the largest radius R
-        R = int(radius[-1])
-        near = np.zeros((t.levels.size // W, W), dtype=bool)
-        box = np.s_[max(qy - R, 0):min(qy + R + 1, near.shape[0]),
-                    max(qx - R, 0):min(qx + R + 1, W)]
-        y, x = np.ogrid[box]
-        near[box] = (np.maximum(abs(y - qy), abs(x - qx))
-                     <= radius[t.levels.reshape(near.shape)[box]])
-        near = near.ravel()
+    term = None if count_site is None else _visit_terms(d, t, count_site)
     budget = _budget(d.geometry.n)
-    code_key = np.arange(len(t.laws), dtype=np.uint64) << 53
+    code_key = np.arange(t.laws.mean_time.size, dtype=np.uint64) << 53
     ends = np.empty(cfg.trials, dtype=np.int64)
     visits, exit_times = np.zeros(cfg.trials), None
-    if q >= 0:
+    if term is not None:
         vis = np.zeros(cfg.trials)
     if times:
         exit_times, tim = np.zeros(cfg.trials), np.zeros(cfg.trials)
@@ -441,7 +434,7 @@ def _run_trials(d: LatticeDomain, start, count_site, cfg: WalkRunConfig,
             if out.any():
                 gone = live[out]
                 ends[gone] = p[out]
-                if q >= 0:
+                if term is not None:
                     visits[gone] = vis[out]
                 if times:
                     exit_times[gone] = tim[out]
@@ -449,7 +442,7 @@ def _run_trials(d: LatticeDomain, start, count_site, cfg: WalkRunConfig,
                     return d.unflat(ends), visits, exit_times
                 inside = np.flatnonzero(code)
                 live, p, code = live[inside], p[inside], code[inside]
-                if q >= 0:
+                if term is not None:
                     vis = vis[inside]
                 if times:
                     tim = tim[inside]
@@ -461,17 +454,12 @@ def _run_trials(d: LatticeDomain, start, count_site, cfg: WalkRunConfig,
                          min(j // 4, cfg.trials // live.size))
             buf = _draws(cfg.seed, live, j // 4, blocks)
             first, end = j, j + 4 * blocks
+        # take: numpy's [] by an index array not of intp costs twice as much
         if times:
-            tim += t.mean_time[code]
-        if q >= 0:
-            hit = np.flatnonzero(near[p])
-            if hit.size:
-                c = code[hit]
-                r = radius[c]
-                y, x = np.divmod(p[hit], W)
-                vis[hit] += G[G_at[c] + (qy - y + r) * (2 * r + 1)
-                              + qx - x + r]
-        p += t.offs[t.keys.bisect(code_key[code] | buf[j - first])]
+            tim += t.laws.mean_time.take(code)
+        if term is not None:
+            vis += term[p]
+        p += t.offs[t.laws.bisect(code_key.take(code) | buf[j - first])]
 
 
 def walk_arc_measure(d: LatticeDomain, x, cfg: WalkRunConfig) -> ArcMeasure:

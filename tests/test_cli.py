@@ -334,6 +334,18 @@ class TestWriter:
         assert rc == 1
         assert [p.name for p in tmp_path.iterdir()] == ["bm.csv.manifest.json"]
 
+    @pytest.mark.parametrize("plot", ["r.csv", "./r_summary.csv",
+                                      "r.csv.manifest.json"])
+    def test_outputs_naming_one_file_are_refused(self, tmp_path, capsys,
+                                                 monkeypatch, plot):
+        # the plot would replace the rate CSV, its summary or the manifest
+        monkeypatch.chdir(tmp_path)
+        rc = dispatch(["rate", "--alphas", "3.141592653589793",
+                       "--ns", "8,9,10", "--out", "r.csv", "--plot", plot])
+        assert rc == 2
+        assert "are the same file" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     # one rule for every subcommand: the parsed options but the output
     # paths and the seed, unset ones dropped; the seed has its own field
     @pytest.mark.parametrize("argv, parameters, seed", [

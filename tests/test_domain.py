@@ -19,7 +19,8 @@ from pacgreen import (DomainError, arc_index, bm_arc_measure, build_geometry,
 from pacgreen.domain import (_BYTES_PER_CELL, _box, _keep_freed_memory,
                              arc_edges, arc_index_of_radius,
                              lattice_coordinates, lattice_site, point_xy,
-                             require_memory, require_scale, sector_mask)
+                             require_angle, require_memory, require_scale,
+                             sector_mask)
 from pacgreen.walk_mc import _jump_tables
 
 PI = math.pi
@@ -76,6 +77,23 @@ class TestBuildGeometry:
             build_geometry(-0.1, 10)
         with pytest.raises(DomainError):
             build_geometry(PI + 0.1, 10)
+
+    @pytest.mark.parametrize("alpha", [
+        "1", None, 1j, complex(1.0, 0.0), math.nan, math.inf, -math.inf,
+        -0.1, PI + 1e-12, [1.0], np.array([1.0])])
+    def test_non_angles_refused(self, alpha):
+        # one rule: DomainError, never a TypeError from the comparison
+        with pytest.raises(DomainError, match="alpha must be a real number"):
+            require_angle(alpha)
+        with pytest.raises(DomainError, match="alpha must be a real number"):
+            build_geometry(alpha, 8)
+
+    @pytest.mark.parametrize("alpha", [0, 0.0, 1, PI, np.float32(1.5),
+                                       np.int64(2), np.float64(PI)])
+    def test_angles_are_floats(self, alpha):
+        assert type(require_angle(alpha)) is float
+        assert require_angle(alpha) == alpha
+        assert type(build_geometry(alpha, 8).alpha) is float
 
     def test_invalid_n(self):
         with pytest.raises(DomainError):

@@ -62,6 +62,11 @@ class TestExperimentConfig:
             with pytest.raises(DomainError, match="alpha"):
                 ExperimentConfig(alphas=(0.0, bad), ns=(8, 16, 32))
 
+    @pytest.mark.parametrize("bad", ["1", None, 1j, math.nan, -0.1, 4.0])
+    def test_angles_follow_the_domain_rule(self, bad):
+        with pytest.raises(DomainError, match="alpha must be a real number"):
+            ExperimentConfig(alphas=(0.0, bad), ns=(8, 16, 32))
+
     def test_every_n_is_checked_before_any_solve(self):
         for bad in (16.5, math.nan, math.inf):
             with pytest.raises(DomainError, match="integer"):

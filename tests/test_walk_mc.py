@@ -22,17 +22,35 @@ from pacgreen import (ArcMeasure, DomainError, StepBudgetError, WalkRunConfig,
 from pacgreen import walk_mc
 from pacgreen.green_discrete import _exit_weights
 from pacgreen.walk_mc import (_MASK64, _draws, _jump_tables, _philox,
-                              _run_trials, _simulate, _square_law,
-                              _square_radius, sample_exits)
+                              _run_trials, _square_law, _square_radius,
+                              sample_exits)
 
 PI = math.pi
 
 
+def code_laws(d):
+    """Per level code of d, (flat offsets [side, site], cum, mean time),
+    from the square laws and the row width alone: code c jumps to site
+    t = -r .. r of side s, the step (r + 1, t) turned by s quarter turns,
+    r = ``_square_radius(c)``; code 0 stays put.  The reference for the
+    engine's shared laws and per-domain offsets."""
+    W = d.width
+    laws = [(np.zeros((4, 1), dtype=np.int64), np.empty(0), 0.0)]
+    for c in range(1, int(_jump_tables(d).levels.max()) + 1):
+        r = _square_radius(c)
+        cum, mean_time, _ = _square_law(r)
+        t = np.arange(-r, r + 1)
+        a = r + 1
+        offs = np.stack([a + t * W, a * W - t, -a - t * W, t - a * W])
+        laws.append((offs, cum, mean_time))
+    return laws
+
+
 def jump_kernel(d):
-    """The engine's jump kernel, read from its tables, as a sparse matrix
-    from interior sites to interior sites then boundary sites."""
-    t = _jump_tables(d)
-    levels, laws = t.levels, t.laws
+    """The jump kernel of the engine's level grid and ``code_laws``, as a
+    sparse matrix from interior sites to interior sites then boundary
+    sites."""
+    levels, laws = _jump_tables(d).levels, code_laws(d)
     M = d.interior_count
     P = d.flat(d.interior)
     code = levels[P]
@@ -65,9 +83,9 @@ def jump_defect(d):
 
 def replay(d, start, count_site, seed, trials):
     """The walk on squares trial by trial, each from its own ``trial_rng``
-    stream, on the engine's tables: the reference ``_run_trials`` equals."""
-    t, W = _jump_tables(d), d.width
-    levels, laws = t.levels, t.laws
+    stream, on the engine's level grid and ``code_laws``: the reference
+    ``_run_trials`` equals."""
+    levels, laws, W = _jump_tables(d).levels, code_laws(d), d.width
     q = None if count_site is None else int(d.flat(count_site))
     rows = []
     for i in range(trials):
@@ -141,9 +159,10 @@ class TestSimulateExit:
         b = simulate_exit(pacman16, (0, 0), trial_rng(7, 3))
         assert a == b
 
-    def test_budget_exhaustion(self, pacman16):
+    def test_budget_exhaustion(self, pacman16, monkeypatch):
+        monkeypatch.setattr(walk_mc, "_budget", lambda n: 3)
         with pytest.raises(StepBudgetError):
-            _simulate(pacman16, (0, 0), (0, 0), trial_rng(1, 0), 3)
+            simulate_exit(pacman16, (0, 0), trial_rng(1, 0))
 
     def test_start_must_be_interior(self, pacman16):
         with pytest.raises(DomainError):
@@ -298,7 +317,9 @@ class TestJumpEngine:
     @pytest.mark.parametrize("domain, start, count_site, seed", [
         ("pacman16", (0, 0), None, 4), ("pacman16", (0, 0), (0, 0), -5),
         ("pacman16", (9, -11), (2, 1), 2**64 - 1),
-        ("plus_domain", (0, 0), (0, 0), 77), ("plus_domain", (1, 0), (0, 0), 77)])
+        ("plus_domain", (0, 0), (0, 0), 77), ("plus_domain", (1, 0), (0, 0), 77),
+        # the visit-term box around (9, -11), row 5, crosses the grid edge
+        ("pacman16", (0, 0), (9, -11), 11)])
     @pytest.mark.parametrize("trials", [3, 100, 400, 1000])
     def test_lockstep_equals_scalar_replay(self, request, domain, start,
                                            count_site, seed, trials):
@@ -338,7 +359,7 @@ class TestJumpEngine:
     def test_guide_steps_over_several_keys_a_bucket(self, monkeypatch):
         # past n = 128 the guide's buckets are capped and hold several keys
         monkeypatch.setattr(walk_mc, "_GUIDE_BITS", 4)
-        k = walk_mc._key_table.__wrapped__(8)
+        k = walk_mc._laws.__wrapped__(8)
         assert k.passes > 1
         v = np.concatenate([k.keys - np.uint64(1), k.keys, k.keys + np.uint64(1)])
         v = v[v < np.uint64(8 << 53)]
@@ -347,39 +368,44 @@ class TestJumpEngine:
     def test_key_table_is_shared_per_code_count(self):
         a, b = (_jump_tables(build_lattice_domain(build_geometry(alpha, 64)))
                 for alpha in (1.0, PI))
-        assert len(a.laws) == len(b.laws)
-        assert a.keys is b.keys
-        assert not a.keys.keys.flags.writeable
-        assert not a.keys.guide.flags.writeable
+        assert a.laws is b.laws
+        arrays = {k: v for k, v in vars(a.laws).items()
+                  if isinstance(v, np.ndarray)}
+        assert set(arrays) == {"keys", "guide", "shift", "dx", "dy",
+                               "mean_time", "radius"}
+        assert not any(v.flags.writeable for v in arrays.values())
 
     @pytest.mark.parametrize("n", [8, 64])
     def test_key_table_bisects_like_the_doubles(self, n):
         # at and next to every threshold, the integer key of a draw lands
         # on the offset that 4u, its side and bisect_right(cum) pick
         d = build_lattice_domain(build_geometry(PI, n))
-        t = _jump_tables(d)
+        t, laws = _jump_tables(d), code_laws(d)
+        assert np.array_equal(t.laws.mean_time, [law[2] for law in laws])
+        assert np.array_equal(t.laws.radius,
+                              [0] + [_square_radius(c)
+                                     for c in range(1, len(laws))])
         # code 0, off the interior, absorbs: every draw stays put (the
         # loop below also runs code 0, at the ends of each side)
         u53 = np.arange(0, 2**53, 2**45 - 1, dtype=np.uint64)
-        assert not t.offs[t.keys.bisect(u53)].any()
-        for c in range(len(t.laws)):
-            offs, cum, _ = t.laws[c]
+        assert not t.offs[t.laws.bisect(u53)].any()
+        for c, (offs, cum, _) in enumerate(laws):
             edge = np.ceil(np.asarray(cum) * 2.0**51).astype(np.int64)
             m = np.unique(np.clip(np.concatenate(
                 [edge - 1, edge, edge + 1, [0, 2**51 - 1]]), 0, 2**51 - 1))
             for side in range(4):
                 u53 = (np.uint64(side << 51) + m.astype(np.uint64))
-                got = t.offs[t.keys.bisect(np.uint64(c << 53) | u53)]
+                got = t.offs[t.laws.bisect(np.uint64(c << 53) | u53)]
                 u = 4.0 * (u53.astype(np.float64) * 2.0**-53)
                 want = [offs[int(v)][bisect_right(cum, v - int(v))] for v in u]
                 assert np.array_equal(got, want)
         # the guide's lookup is numpy's bisection, at and next to every key
         # and every bucket start
-        k = t.keys
+        k = t.laws
         edges = np.concatenate([k.keys, np.arange(k.guide.size,
                                                   dtype=np.uint64) << k.shift])
         v = np.concatenate([edges - np.uint64(1), edges, edges + np.uint64(1)])
-        v = v[v < np.uint64(len(t.laws) << 53)]
+        v = v[v < np.uint64(len(laws) << 53)]
         assert np.array_equal(k.bisect(v), k.keys.searchsorted(v, side="right"))
 
     def test_mean_exit_steps_vs_solver(self):
